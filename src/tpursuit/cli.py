@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import glob
 import json
+import math
 import sys
 import time
 
@@ -55,6 +56,16 @@ def _parse_grid(text: str) -> tuple:
         return tuple(int(tok) for tok in text.split(","))
     except ValueError:
         raise ValueError(f"m-grid must be comma-separated integers, got {text!r}")
+
+
+def _noise_sigma(text: str) -> float:
+    try:
+        sigma = float(text)
+    except ValueError:
+        sigma = math.nan
+    if not (math.isfinite(sigma) and sigma >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return sigma
 
 
 def _add_noise(y: Tensor3, sigma: float, seed: int) -> Tensor3:
@@ -195,7 +206,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--batch", type=int, default=1, help="atoms added per iteration")
         p.add_argument("--variant", choices=("standard", "economic"), default="standard")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--noise-sigma", dest="noise_sigma", type=float, default=0.0,
+        p.add_argument("--noise-sigma", dest="noise_sigma", type=_noise_sigma, default=0.0,
                        help="additive Gaussian noise level on [0, 1]-normalized intensities")
         p.add_argument("--in", dest="infile", required=True, help="input .t3b tensor")
         p.add_argument("--out", required=True, help="output .t3b reconstruction")

@@ -161,10 +161,22 @@ def random_mask(dims, missing_ratio: float, seed) -> SamplingMask:
 
 
 def apply(phi: MeasurementMap, x: Tensor3) -> np.ndarray:
-    """Measure a tensor, returning the length-m vector phi(x)."""
+    """Measure a tensor, returning the length-m vector phi(x).
+
+    A stack of tensors, shape (count, n1, n2, n3), gives a (count, m) array
+    whose row i is phi(x[i]); a dense map measures the stack with one
+    matrix product.
+    """
     x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 4 and x.shape[1:] == phi.dims:
+        # each row in storage order; a free view when x[i] is Fortran ordered
+        v = x.transpose(0, 3, 2, 1).reshape(x.shape[0], phi.n)
+        if phi.kind == "sampling":
+            return v[:, phi.mask.indices]
+        return v @ phi.matrix.T
     if x.shape != phi.dims:
-        raise ShapeMismatch(f"tensor shape {x.shape} does not match map dims {phi.dims}")
+        raise ShapeMismatch(f"tensor shape {x.shape} does not match map dims {phi.dims}"
+                            " or a stack of them")
     v = _vec(x)
     if phi.kind == "sampling":
         return v[phi.mask.indices].copy()

@@ -239,9 +239,12 @@ def run(b: np.ndarray, phi: MeasurementMap, cfg: PursuitConfig) -> PursuitResult
     final weights; with the default max_iters it has tubal rank at most r.
     The loop stops after cfg.max_iters iterations (default ceil(r/s)), when
     the residual drops to residual_tol * ||R_1||, or when the residual has
-    no atoms left to peel.
+    no atoms left to peel. Raises ValueError when b holds a non-finite
+    value.
     """
     b = np.asarray(b, dtype=np.float64).ravel()
+    if not np.all(np.isfinite(b)):
+        raise ValueError("measurements must be finite")
     n1, n2, n3 = phi.dims
     if cfg.s > min(n1, n2):
         raise RankOutOfRange(f"batch size {cfg.s} exceeds min(n1, n2) = {min(n1, n2)}")

@@ -182,6 +182,21 @@ def test_complete_noise_perturbs_measurements(tmp_path, capsys):
     assert record["rmse"] > 1e-6
 
 
+@pytest.mark.parametrize("command", ["complete", "sense"])
+@pytest.mark.parametrize("sigma", ["nan", "inf", "-inf", "-0.5"])
+def test_noise_sigma_must_be_finite_and_nonnegative(tmp_path, capsys, command, sigma):
+    src, _ = synth(tmp_path, capsys)
+    out = tmp_path / "r.t3b"
+    extra = ["--missing", "0.5"] if command == "complete" else ["--m", "40"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--in", str(src), "--out", str(out), "--rank", "2",
+                  f"--noise-sigma={sigma}", *extra])
+    assert exc.value.code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "usage:" in err and "--noise-sigma" in err
+    assert not out.exists()
+
+
 def test_complete_missing_input(tmp_path, capsys):
     code, _ = run_cli(
         ["complete", "--in", tmp_path / "absent.t3b", "--out", tmp_path / "r.t3b",

@@ -70,10 +70,35 @@ def test_dense_apply_matches_matrix_vector_product():
     np.testing.assert_allclose(ms.apply(phi, x), mat @ x.ravel(order="F"), atol=1e-12)
 
 
+def test_apply_on_a_stack_matches_one_tensor_at_a_time():
+    rng = np.random.default_rng(307)
+    dims = (4, 3, 5)
+    xs = rng.standard_normal((6,) + dims)
+    # the same stack with every tensor stored in Fortran order
+    xs_f = np.ascontiguousarray(xs.transpose(0, 3, 2, 1)).transpose(0, 3, 2, 1)
+    for phi in (
+        ms.gaussian_ensemble(9, dims, seed=17),
+        ms.sampling_map(ms.random_mask(dims, 0.4, seed=17)),
+    ):
+        want = np.stack([ms.apply(phi, x) for x in xs])
+        for stack in (xs, xs_f):
+            got = ms.apply(phi, stack)
+            assert got.shape == (6, phi.m)
+            if phi.kind == "sampling":
+                np.testing.assert_array_equal(got, want)
+            else:
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+        assert ms.apply(phi, xs[:0]).shape == (0, phi.m)
+
+
 def test_apply_shape_mismatch():
     phi = ms.gaussian_ensemble(5, (3, 3, 2), seed=0)
     with pytest.raises(ShapeMismatch):
         ms.apply(phi, np.zeros((3, 3, 3)))
+    # a stack whose tensors have the wrong dims, and inputs of other ranks
+    for bad in ((4, 3, 3, 3), (3, 3, 2, 1), (2, 1, 3, 3, 2), (3, 6), (18,)):
+        with pytest.raises(ShapeMismatch):
+            ms.apply(phi, np.zeros(bad))
     with pytest.raises(ShapeMismatch):
         ms.pinv_apply(phi, np.zeros(6))
 

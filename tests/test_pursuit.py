@@ -221,6 +221,15 @@ def test_run_rejects_oversized_batch():
         pu.run(np.zeros(phi.m), phi, pu.PursuitConfig(r=5, s=5))
 
 
+def test_run_rejects_non_finite_measurements():
+    for phi in (full_map((4, 4, 2)), gaussian_ensemble(20, (4, 4, 2), seed=3)):
+        for bad in (np.nan, np.inf, -np.inf):
+            b = np.ones(phi.m)
+            b[phi.m // 2] = bad
+            with pytest.raises(ValueError, match="finite"):
+                pu.run(b, phi, pu.PursuitConfig(r=2))
+
+
 def test_config_validation():
     with pytest.raises(RankOutOfRange):
         pu.PursuitConfig(r=0)

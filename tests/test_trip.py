@@ -7,9 +7,71 @@ import pytest
 
 from tpursuit import trip
 from tpursuit.errors import RankOutOfRange
-from tpursuit.measure import dense_map
-from tpursuit.tensor import frobenius_norm
+from tpursuit.measure import apply, dense_map, gaussian_ensemble, random_mask, sampling_map
+from tpursuit.tensor import conj_transpose, frobenius_norm, tprod
 from tpursuit.tsvd import tubal_rank
+
+
+def _reference_probe(dims, r, rng):
+    # one probe at a time, as the definition reads: QR of a Gaussian block
+    # in each leading DFT slice for U and for V, Gaussian singular tubes,
+    # then U * S * V^T by two tensor products, normalized
+    n1, n2, n3 = dims
+
+    def lateral(n):
+        gh = np.fft.rfft(rng.standard_normal((n, r, n3)), axis=2)
+        qs = np.empty_like(gh)
+        for k in range(gh.shape[2]):
+            qs[:, :, k] = np.linalg.qr(gh[:, :, k])[0]
+        return np.fft.irfft(qs, n=n3, axis=2)
+
+    u = lateral(n1)
+    v = lateral(n2)
+    s = np.zeros((r, r, n3))
+    s[np.arange(r), np.arange(r), :] = rng.standard_normal((r, n3))
+    x = tprod(tprod(u, s), conj_transpose(v))
+    return x / frobenius_norm(x)
+
+
+# n3 odd, even and 1, ranks 1 to min(n1, n2)
+PROBE_SHAPES = [((6, 7, 5), 3), ((8, 8, 4), 2), ((5, 4, 1), 2), ((3, 9, 6), 1), ((4, 4, 2), 4)]
+
+
+@pytest.mark.parametrize("dims,r", PROBE_SHAPES)
+def test_probe_blocks_match_the_per_probe_construction(dims, r):
+    rng = np.random.default_rng(504)
+    got = trip._sample_probes(dims, r, 7, rng)
+    ref_rng = np.random.default_rng(504)
+    want = np.stack([_reference_probe(dims, r, ref_rng) for _ in range(7)])
+    assert got.shape == (7,) + dims
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+    # both leave the generator in the same state
+    np.testing.assert_array_equal(rng.standard_normal(4), ref_rng.standard_normal(4))
+    single_rng = np.random.default_rng(504)
+    one = trip.sample_rank_r_unit(dims, r, single_rng)
+    np.testing.assert_allclose(one, want[0], rtol=0, atol=1e-13)
+    assert one.flags.c_contiguous
+
+
+@pytest.mark.parametrize("dims,r", PROBE_SHAPES)
+def test_empirical_delta_is_the_worst_per_probe_distortion(dims, r, monkeypatch):
+    n = dims[0] * dims[1] * dims[2]
+    maps = (
+        gaussian_ensemble(max(1, n // 2), dims, seed=41),
+        sampling_map(random_mask(dims, 0.3, seed=41)),
+    )
+    default_entries = trip.PROBE_BLOCK_ENTRIES
+    for phi in maps:
+        ref_rng = np.random.default_rng(505)
+        measured = [apply(phi, _reference_probe(dims, r, ref_rng)) for _ in range(10)]
+        want = max(abs(float(bx @ bx) - 1.0) for bx in measured)
+        # one block of everything, and blocks of 3 probes so the last is short
+        for entries in (default_entries, 3 * max(n, phi.m)):
+            monkeypatch.setattr(trip, "PROBE_BLOCK_ENTRIES", entries)
+            rng = np.random.default_rng(505)
+            got = trip.empirical_delta(phi, dims, r, 10, rng)
+            assert abs(got - want) <= 1e-12 * max(1.0, want)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_probes_have_unit_norm_and_requested_rank():
