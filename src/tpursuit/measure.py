@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import EmptyMask, FileFormatError, RankDeficientMap, ShapeMismatch
+from .errors import (EmptyMask, FileFormatError, NumericalFailure, RankDeficientMap,
+                     ShapeMismatch)
 from .tensor import Tensor3
 
 MSK_MAGIC = b"MSK1"
@@ -85,7 +86,10 @@ class MeasurementMap:
         return d[0] * d[1] * d[2]
 
     def _cholesky(self) -> np.ndarray:
-        # lower Cholesky factor of matrix @ matrix.T, built on first use
+        # upper Cholesky factor U of matrix @ matrix.T = U'U, built and
+        # checked on first use. U is the transpose view of numpy's C-ordered
+        # lower factor, so it is column-major, the layout LAPACK reads, and
+        # the solves neither copy nor re-check it.
         if self._chol is None:
             gram = self.matrix @ self.matrix.T
             try:
@@ -94,13 +98,15 @@ class MeasurementMap:
                 raise RankDeficientMap(
                     "dense measurement rows are numerically dependent"
                 ) from exc
+            if not np.all(np.isfinite(chol)):
+                raise NumericalFailure("the Gram matrix of the dense map overflows")
             # exactly dependent rows can still factor with a pivot at the
             # rounding floor of the Gram; treat those as deficient too
             pivots = np.diag(chol) ** 2
             floor = 100.0 * gram.shape[0] * np.finfo(np.float64).eps * np.diag(gram).max()
             if pivots.min() <= floor:
                 raise RankDeficientMap("dense measurement rows are numerically dependent")
-            self._chol = chol
+            self._chol = chol.T
         return self._chol
 
 
@@ -188,7 +194,8 @@ def pinv_apply(phi: MeasurementMap, b: np.ndarray) -> Tensor3:
 
     Sampling maps scatter b back into a zero tensor. Dense maps solve with
     the cached Cholesky factor of phi phi', raising RankDeficientMap when
-    the rows are numerically dependent.
+    the rows are numerically dependent, NumericalFailure when phi phi'
+    overflows, and ValueError when b holds a non-finite value.
     """
     b = np.asarray(b, dtype=np.float64).ravel()
     if b.size != phi.m:
@@ -197,8 +204,9 @@ def pinv_apply(phi: MeasurementMap, b: np.ndarray) -> Tensor3:
         v = np.zeros(phi.n)
         v[phi.mask.indices] = b
         return _unvec(v, phi.dims)
-    chol = phi._cholesky()
-    w = scipy.linalg.cho_solve((chol, True), b)
+    if not np.all(np.isfinite(b)):
+        raise ValueError("measurement vector must be finite")
+    w = scipy.linalg.cho_solve((phi._cholesky(), False), b, check_finite=False)
     return _unvec(phi.matrix.T @ w, phi.dims)
 
 
@@ -207,12 +215,15 @@ def whiten(phi: MeasurementMap, v: np.ndarray) -> np.ndarray:
     product is the plain dot product.
 
     Sampling maps are row-orthonormal already; dense maps apply the inverse
-    of the lower Cholesky factor of phi phi'.
+    of the lower Cholesky factor of phi phi' and raise ValueError when v
+    holds a non-finite value.
     """
     if phi.kind == "sampling":
         return v
-    chol = phi._cholesky()
-    return scipy.linalg.solve_triangular(chol, v, lower=True)
+    v = np.asarray(v)
+    if not np.all(np.isfinite(v)):
+        raise ValueError("measured vectors must be finite")
+    return scipy.linalg.solve_triangular(phi._cholesky(), v, trans="T", check_finite=False)
 
 
 def write_msk(path, mask: SamplingMask) -> None:

@@ -367,7 +367,8 @@ def refine(b: np.ndarray, phi: MeasurementMap, yhat: Tensor3, r: int) -> Tensor3
     that of yhat; yhat itself comes back when no sweep improves on it.
     The result is a deterministic function of the inputs. The sweeps stop
     when one lowers the residual by less than REFINE_STALL of its current
-    value, when one would raise it, or after REFINE_MAX_SWEEPS.
+    value, when one would raise it, or after REFINE_MAX_SWEEPS. Raises
+    ValueError when b holds a non-finite value.
     """
     if phi.kind != "sampling":
         raise ValueError(f"refine fits observed entries and needs a sampling map, got {phi.kind!r}")
@@ -381,6 +382,8 @@ def refine(b: np.ndarray, phi: MeasurementMap, yhat: Tensor3, r: int) -> Tensor3
     if rank > r:
         raise RankOutOfRange(f"estimate has tubal rank {rank}, above the refit rank {r}")
     b = np.asarray(b, dtype=np.float64).ravel()
+    if not np.all(np.isfinite(b)):
+        raise ValueError("measurements must be finite")
     data = pinv_apply(phi, b)
     observed = pinv_apply(phi, np.ones(phi.m))
     rows = _RowFit(observed, data)

@@ -236,18 +236,19 @@ def test_batch_size_tradeoff_curves():
     y = sample_rank_r_unit(dims, 6, np.random.default_rng(424242))
     phi = sampling_map(random_mask(dims, 0.5, seed=424242))
     b = apply(phi, y)
-    curves = {}
-    medians = {}
-    for s in (1, 2, 3):
-        cfg = PursuitConfig(r=6, s=s, variant="economic")
+    cfgs = {s: PursuitConfig(r=6, s=s, variant="economic") for s in (1, 2, 3)}
+    for cfg in cfgs.values():
         run(b, phi, cfg)  # warmup
-        times = []
-        for _ in range(3):
+    curves = {}
+    times = {s: [] for s in cfgs}
+    # round robin, so that a slow spell on the host lands on every s alike
+    for _ in range(3):
+        for s, cfg in cfgs.items():
             t0 = time.perf_counter()
             res = run(b, phi, cfg)
-            times.append(time.perf_counter() - t0)
-        curves[s] = res.residual_norms
-        medians[s] = float(np.median(times))
+            times[s].append(time.perf_counter() - t0)
+            curves[s] = res.residual_norms
+    medians = {s: float(np.median(t)) for s, t in times.items()}
     monotone = all(
         all(c[i + 1] <= c[i] + 1e-10 * c[0] for i in range(len(c) - 1))
         for c in curves.values()

@@ -4,11 +4,13 @@ import struct
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from tpursuit import measure as ms
 from tpursuit.errors import (
     EmptyMask,
     FileFormatError,
+    NumericalFailure,
     RankDeficientMap,
     ShapeMismatch,
 )
@@ -216,6 +218,55 @@ def test_rank_deficient_dense_map():
     phi = ms.dense_map(mat, (2, 3, 2))
     with pytest.raises(RankDeficientMap):
         ms.pinv_apply(phi, np.zeros(3))
+
+
+def test_dense_map_whose_gram_overflows():
+    rng = np.random.default_rng(308)
+    phi = ms.dense_map(1e160 * rng.standard_normal((5, 24)), (2, 3, 4))
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericalFailure):
+            ms.pinv_apply(phi, np.ones(5))
+        with pytest.raises(NumericalFailure):
+            ms.whiten(phi, np.ones(5))
+
+
+def test_dense_solves_reject_non_finite_input():
+    dims = (4, 3, 2)
+    phi = ms.gaussian_ensemble(10, dims, seed=9)
+    for bad in (np.nan, np.inf, -np.inf):
+        b = np.ones(phi.m)
+        b[3] = bad
+        with pytest.raises(ValueError):
+            ms.pinv_apply(phi, b)
+        with pytest.raises(ValueError):
+            ms.whiten(phi, b)
+        with pytest.raises(ValueError):
+            ms.whiten(phi, np.column_stack([np.ones(phi.m), b]))
+
+
+def test_dense_factor_is_cached_column_major():
+    phi = ms.gaussian_ensemble(30, (4, 4, 3), seed=11)
+    chol = phi._cholesky()
+    assert phi._cholesky() is chol
+    assert chol.flags.f_contiguous
+    # the upper factor U of phi phi' = U'U
+    np.testing.assert_allclose(chol.T @ chol, phi.matrix @ phi.matrix.T, atol=1e-12)
+
+
+def test_dense_solves_match_the_per_call_lower_factor_solve():
+    # the cached factor gives bit for bit what solving with numpy's
+    # C-ordered lower factor on every call gives
+    rng = np.random.default_rng(309)
+    dims = (8, 8, 4)
+    phi = ms.gaussian_ensemble(128, dims, seed=19)
+    lower = np.linalg.cholesky(phi.matrix @ phi.matrix.T)
+    for _ in range(3):
+        b = rng.standard_normal(phi.m)
+        want = (phi.matrix.T @ scipy.linalg.cho_solve((lower, True), b)).reshape(dims, order="F")
+        np.testing.assert_array_equal(ms.pinv_apply(phi, b), want)
+        for v in (b, rng.standard_normal((phi.m, 3))):
+            want = scipy.linalg.solve_triangular(lower, v, lower=True)
+            np.testing.assert_array_equal(ms.whiten(phi, v), want)
 
 
 def test_whiten_preserves_projected_inner_products():

@@ -366,3 +366,16 @@ def test_refine_rejects_dense_maps_and_over_rank_inputs():
         pu.refine(apply(phi, full_rank), phi, full_rank, 2)
     with pytest.raises(RankOutOfRange):
         pu.refine(np.zeros(phi.m), phi, np.zeros(dims), 6)
+
+
+def test_refine_rejects_non_finite_measurements():
+    dims = (6, 6, 3)
+    y = sample_rank_r_unit(dims, 2, np.random.default_rng(980))
+    phi = sampling_map(random_mask(dims, 0.5, seed=980))
+    b = apply(phi, y)
+    yhat = pu.run(b, phi, pu.PursuitConfig(r=2, variant="economic")).yhat
+    for bad in (np.nan, np.inf, -np.inf):
+        b_bad = b.copy()
+        b_bad[phi.m // 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            pu.refine(b_bad, phi, yhat, 2)
