@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DivergenceDetected, RankOutOfRange, ShapeMismatch
+from .errors import DivergenceDetected, NumericalFailure, RankOutOfRange, ShapeMismatch
 from .measure import MeasurementMap, apply, pinv_apply, whiten
 from .tensor import Tensor3, conj_transpose, frobenius_norm, tprod
 from .tsvd import RankOneAtom, leading_atoms, truncated_tsvd, tubal_rank
@@ -182,8 +182,9 @@ def update_residual(state: PursuitState, phi: MeasurementMap, b: np.ndarray) -> 
     """Fold the weights solved this iteration into the state.
 
     Recomputes the estimate, subtracts it from the backprojection, appends
-    the history record, and raises DivergenceDetected when the residual
-    norm grows by more than 1e-8 relative to the starting norm.
+    the history record. Raises NumericalFailure when the residual norm is
+    not finite and DivergenceDetected when it grows by more than 1e-8
+    relative to the starting norm.
     """
     cfg = state.config
     if cfg.variant == "standard":
@@ -200,6 +201,8 @@ def update_residual(state: PursuitState, phi: MeasurementMap, b: np.ndarray) -> 
         coeffs = np.concatenate([state.coeffs * alpha[0], alpha[1:]])
     residual_new = state.r0 - x_new
     norm_new = frobenius_norm(residual_new)
+    if not math.isfinite(norm_new):
+        raise NumericalFailure(f"residual norm is {norm_new} at iteration {state.k}")
     norm_prev = state.residual_norms[-1]
     norm_start = state.residual_norms[0]
     if norm_new > norm_prev + RATE_SLACK * norm_start:
@@ -240,7 +243,8 @@ def run(b: np.ndarray, phi: MeasurementMap, cfg: PursuitConfig) -> PursuitResult
     The loop stops after cfg.max_iters iterations (default ceil(r/s)), when
     the residual drops to residual_tol * ||R_1||, or when the residual has
     no atoms left to peel. Raises ValueError when b holds a non-finite
-    value.
+    value, and NumericalFailure when the norm of pinv(b) or of a residual
+    is not finite.
     """
     b = np.asarray(b, dtype=np.float64).ravel()
     if not np.all(np.isfinite(b)):
@@ -250,10 +254,12 @@ def run(b: np.ndarray, phi: MeasurementMap, cfg: PursuitConfig) -> PursuitResult
         raise RankOutOfRange(f"batch size {cfg.s} exceeds min(n1, n2) = {min(n1, n2)}")
     r0 = pinv_apply(phi, b)
     r0_norm = frobenius_norm(r0)
+    if not math.isfinite(r0_norm):
+        raise NumericalFailure(f"backprojection norm is {r0_norm}; the measurements overflow")
     zero = np.zeros(phi.dims)
     state = PursuitState(config=cfg, r0=r0, x=zero, yhat=zero.copy(),
                          residual=r0.copy(), residual_norms=[r0_norm])
-    wb = whiten(phi, b)
+    wb = whiten(phi, b) if cfg.variant == "standard" else None
     converged = r0_norm <= cfg.residual_tol * r0_norm
     while state.k <= cfg.iterations_limit and not converged:
         state.iter_started_at = time.perf_counter()
@@ -267,7 +273,12 @@ def run(b: np.ndarray, phi: MeasurementMap, cfg: PursuitConfig) -> PursuitResult
             new_cols = measured_columns(phi, atoms)
             new_wcols = whiten(phi, new_cols)
             state.columns = new_cols if state.columns is None else np.hstack([state.columns, new_cols])
-            state.wcolumns = new_wcols if state.wcolumns is None else np.hstack([state.wcolumns, new_wcols])
+            if new_wcols is new_cols:
+                # whitening is the identity here (sampling maps): keep one copy
+                state.wcolumns = state.columns
+            else:
+                state.wcolumns = (new_wcols if state.wcolumns is None
+                                  else np.hstack([state.wcolumns, new_wcols]))
             state.weights = solve_weights_full(state.atoms + atoms, phi, b,
                                                wcolumns=state.wcolumns, wb=wb)
         else:

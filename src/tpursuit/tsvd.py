@@ -1,14 +1,22 @@
 """Tensor singular value decomposition and its rank-one building blocks.
 
-The decomposition runs one complex SVD per DFT slice, but only on the
-leading ``n3 // 2 + 1`` slices; the remaining slices are conjugate mirrors,
-so the inverse transform returns real factors. Each left singular vector is
-rotated so that its largest-magnitude entry is real and nonnegative, which
-pins the per-slice phase and makes the factors deterministic.
+Both decompositions factor only the leading ``n3 // 2 + 1`` DFT slices; the
+remaining slices are conjugate mirrors, so the inverse transform returns
+real factors. The full decomposition runs one complex SVD per slice. The
+truncated one keeps k triplets per slice, so it takes the k leading
+eigenvectors of each slice's Gram matrix on its smaller side and runs a
+thin SVD of the slice times those vectors; its slices are split across the
+CPUs the process may run on. Each left singular vector is rotated so that
+its largest-magnitude entry is real and nonnegative, which pins the
+per-slice phase and makes the factors deterministic.
 """
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,24 +61,117 @@ class RankOneAtom:
     atom: Tensor3
 
 
-def _half_spectrum_svd(a: Tensor3, compute_uv: bool = True):
-    """SVD of each leading DFT slice with the deterministic phase fix."""
+def _half_spectrum(a: Tensor3) -> np.ndarray:
+    """Leading DFT slices of a as a C-ordered (n3 // 2 + 1, n1, n2) stack."""
     ah = np.fft.rfft(np.asarray(a, dtype=np.float64), axis=2)
-    stack = np.ascontiguousarray(ah.transpose(2, 0, 1))
-    try:
-        if not compute_uv:
-            return np.linalg.svd(stack, compute_uv=False)
-        u, sig, vh = np.linalg.svd(stack, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure("slice SVD did not converge") from exc
+    return np.ascontiguousarray(ah.transpose(2, 0, 1))
+
+
+def _fix_phase(u, vh):
     # rotate each (u column, vh row) pair so the largest-|.| entry of u,
     # first on ties, lands on the nonnegative real axis
     lead_idx = np.argmax(np.abs(u), axis=1)
     lead = np.take_along_axis(u, lead_idx[:, None, :], axis=1)[:, 0, :]
     mag = np.abs(lead)
     phase = np.where(mag > 0, lead / np.where(mag > 0, mag, 1.0), 1.0)
-    u = u * phase.conj()[:, None, :]
-    vh = vh * phase[:, :, None]
+    return u * phase.conj()[:, None, :], vh * phase[:, :, None]
+
+
+def _half_spectrum_svd(a: Tensor3, compute_uv: bool = True):
+    """SVD of each leading DFT slice with the deterministic phase fix."""
+    stack = _half_spectrum(a)
+    try:
+        if not compute_uv:
+            return np.linalg.svd(stack, compute_uv=False)
+        u, sig, vh = np.linalg.svd(stack, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure("slice SVD did not converge") from exc
+    u, vh = _fix_phase(u, vh)
+    return u, sig, vh
+
+
+# The slices of a truncated decomposition are split into contiguous chunks,
+# one per CPU in the process's affinity mask. The calling thread factors the
+# first chunk and a pool shared by the whole process the others; numpy's
+# LAPACK and BLAS calls release the interpreter lock. Every slice gets the
+# same LAPACK calls however the stack is split, so the factors do not depend
+# on the worker count. The pool is created on first use, not at import.
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _worker_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _forget_pool() -> None:
+    # a forked child inherits the pool's bookkeeping but none of its
+    # threads, so work submitted to it would never run
+    global _pool, _pool_lock
+    _pool = None
+    _pool_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _over_slices(fn, stack: np.ndarray, *args):
+    """fn(chunk, *args) on contiguous chunks of the stack, run concurrently;
+    the arrays fn returns are joined back along the slice axis."""
+    global _pool
+    chunks = np.array_split(stack, min(_worker_count(), len(stack)))
+    if len(chunks) == 1:
+        return fn(stack, *args)
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max_workers=max(1, _worker_count() - 1),
+                                       thread_name_prefix="tpursuit-tsvd")
+        pool = _pool
+    # each chunk runs in a copy of the caller's context, so numpy's error
+    # state (np.errstate) applies in the pool's threads too
+    futures = [pool.submit(contextvars.copy_context().run, fn, chunk, *args)
+               for chunk in chunks[1:]]
+    try:
+        parts = [fn(chunks[0], *args)]
+    finally:
+        wait(futures)
+    parts += [f.result() for f in futures]
+    return tuple(np.concatenate(outs) for outs in zip(*parts))
+
+
+def _leading_triplets(stack: np.ndarray, k: int):
+    """k leading singular triplets of each slice of a stack with at least as
+    many rows as columns, as (u, sigma, vh) of widths k."""
+    # an exact power-of-two scale per slice, undone on sigma, keeps the Gram
+    # from overflowing or underflowing where the slice itself does not
+    _, exp = np.frexp(np.abs(stack).max(axis=(1, 2)))
+    a = np.ldexp(stack.view(np.float64), -exp[:, None, None]).view(np.complex128)
+    gram = np.matmul(a.conj().transpose(0, 2, 1), a)
+    v = np.linalg.eigh(gram)[1][:, :, ::-1][:, :, :k]
+    # u comes from the thin SVD of a v, never from a v / sigma, so it stays
+    # orthonormal on a zero slice and when k exceeds the slice's rank
+    u, sig, zh = np.linalg.svd(a @ v, full_matrices=False)
+    return u, np.ldexp(sig, exp[:, None]), zh @ v.conj().transpose(0, 2, 1)
+
+
+def _half_spectrum_leading(a: Tensor3, k: int):
+    """k leading triplets of each leading DFT slice with the phase fix."""
+    stack = _half_spectrum(a)
+    wide = stack.shape[1] < stack.shape[2]
+    if wide:
+        # factor the conjugate transpose so the Gram is on the smaller side
+        stack = np.ascontiguousarray(stack.conj().transpose(0, 2, 1))
+    try:
+        u, sig, vh = _over_slices(_leading_triplets, stack, k)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure("slice eigendecomposition did not converge") from exc
+    if wide:
+        u, vh = vh.conj().transpose(0, 2, 1), u.conj().transpose(0, 2, 1)
+    u, vh = _fix_phase(u, vh)
     return u, sig, vh
 
 
@@ -99,11 +200,20 @@ def tsvd(a: Tensor3) -> TSVDFactors:
 
 
 def truncated_tsvd(a: Tensor3, k: int) -> TSVDFactors:
-    """Leading k singular tubes of the decomposition; the best tubal-rank-k fit."""
+    """Leading k singular tubes of the decomposition; the best tubal-rank-k fit.
+
+    Each DFT slice's k leading right singular vectors come from the
+    eigendecomposition of its Gram matrix on the smaller side; a thin SVD of
+    the slice times them gives orthonormal left vectors and the singular
+    values. The slices are factored on every CPU in the process's affinity
+    mask, and the result does not depend on how many there are. Raises
+    NumericalFailure when a slice cannot be factored, such as for an input
+    holding NaN or an infinity.
+    """
     n1, n2, n3 = a.shape
     if not 1 <= k <= min(n1, n2):
         raise RankOutOfRange(f"truncation width {k} outside [1, {min(n1, n2)}]")
-    u, sig, vh = _half_spectrum_svd(a)
+    u, sig, vh = _half_spectrum_leading(a, k)
     return _assemble(u, sig, vh, n3, k)
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from tpursuit import pursuit as pu
-from tpursuit.errors import DivergenceDetected, RankOutOfRange
+from tpursuit.errors import DivergenceDetected, NumericalFailure, RankOutOfRange
 from tpursuit.measure import (
     SamplingMask,
     apply,
@@ -268,6 +268,37 @@ def test_divergence_detected_on_bad_weights():
     )
     with pytest.raises(DivergenceDetected):
         pu.update_residual(state, phi, b)
+
+
+def test_non_finite_norms_raise_numerical_failure():
+    # b scaled by 1e300 overflows the backprojection norm; the parent
+    # returned residual_norms [inf, inf, inf] and no error
+    rng = np.random.default_rng(411)
+    dims = (8, 8, 4)
+    phi = sampling_map(random_mask(dims, 0.5, seed=4))
+    b = 1e300 * apply(phi, sample_rank_r_unit(dims, 2, rng))
+    for variant in ("standard", "economic"):
+        with pytest.raises(NumericalFailure, match="backprojection"), np.errstate(over="ignore"):
+            pu.run(b, phi, pu.PursuitConfig(r=3, variant=variant))
+    # a refit that yields a non-finite residual norm
+    phi = full_map((4, 4, 2))
+    b = apply(phi, rng.standard_normal((4, 4, 2)))
+    r0 = pinv_apply(phi, b)
+    atoms = leading_atoms(r0, 1)
+    for bad in (np.nan, np.inf):
+        state = pu.PursuitState(
+            config=pu.PursuitConfig(r=1),
+            r0=r0,
+            x=np.zeros(phi.dims),
+            yhat=np.zeros(phi.dims),
+            residual=r0.copy(),
+            residual_norms=[frobenius_norm(r0)],
+            new_atoms=atoms,
+            columns=pu.measured_columns(phi, atoms),
+            weights=np.array([bad]),
+        )
+        with pytest.raises(NumericalFailure, match="residual norm"):
+            pu.update_residual(state, phi, b)
 
 
 def test_metrics_csv_round_trip(tmp_path):

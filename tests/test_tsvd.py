@@ -1,10 +1,16 @@
 """Unit tests for the tubal SVD and rank-one atom extraction."""
 
+import importlib
+import multiprocessing
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from tpursuit.tsvd import leading_atoms, truncated_tsvd, tsvd, tubal_rank
-from tpursuit.errors import RankOutOfRange
+from tpursuit.errors import NumericalFailure, RankOutOfRange
 from tpursuit.tensor import (
     conj_transpose,
     fft3,
@@ -15,6 +21,9 @@ from tpursuit.tensor import (
     tprod,
 )
 from tpursuit.trip import sample_rank_r_unit
+
+# the package exports the function tsvd under the module's name
+tsvd_module = importlib.import_module("tpursuit.tsvd")
 
 SHAPES = [(1, 1, 1), (4, 4, 1), (3, 5, 4), (5, 3, 4), (8, 8, 8), (6, 2, 7)]
 
@@ -89,6 +98,149 @@ def test_truncation_error_monotone():
         errs.append(frobenius_norm(reconstruct(f) - a))
     assert all(errs[i + 1] <= errs[i] + 1e-12 for i in range(len(errs) - 1))
     assert errs[-1] <= 1e-10 * max(1.0, frobenius_norm(a))
+
+
+def leading_of_full(a, k):
+    """The first k tubes of the full-SVD decomposition, the reference for
+    truncated_tsvd."""
+    f = tsvd(a)
+    return f.u[:, :k, :], f.s[:k, :k, :], f.v[:, :k, :]
+
+
+# n1 < n2 and n1 > n2, odd and even n3, n3 = 1 and 2
+TRUNCATION_SHAPES = [(3, 5, 4), (5, 3, 4), (6, 9, 7), (9, 6, 7), (8, 8, 8), (7, 4, 1), (4, 7, 2)]
+
+
+def test_truncated_tsvd_matches_full_svd_factors():
+    rng = np.random.default_rng(213)
+    for shape in TRUNCATION_SHAPES:
+        a = rng.standard_normal(shape)
+        for k in range(1, min(shape[:2]) + 1):
+            f = truncated_tsvd(a, k)
+            u, s, v = leading_of_full(a, k)
+            assert np.abs(f.u - u).max() <= 1e-12, (shape, k)
+            assert np.abs(f.v - v).max() <= 1e-12, (shape, k)
+            assert np.abs(f.s - s).max() <= 1e-12 * np.abs(s).max(), (shape, k)
+            assert is_orthogonal(f.u) and is_orthogonal(f.v)
+
+
+def test_truncated_tsvd_on_zero_slices_and_past_the_rank():
+    # where singular values repeat or vanish the factors are not unique,
+    # so compare the fit and the tubes and check orthonormality
+    rng = np.random.default_rng(214)
+    constant_tubes = np.repeat(rng.standard_normal((6, 4, 1)), 5, axis=2)
+    low_rank = sample_rank_r_unit((7, 5, 6), 2, rng)
+    for a in (constant_tubes, low_rank, np.zeros((4, 6, 3))):
+        for k in range(1, min(a.shape[:2]) + 1):
+            f = truncated_tsvd(a, k)
+            u, s, v = leading_of_full(a, k)
+            scale = max(frobenius_norm(a), 1e-300)
+            assert frobenius_norm(reconstruct(f) - tprod(tprod(u, s), conj_transpose(v))) <= 1e-12 * scale
+            assert np.abs(f.s - s).max() <= 1e-12 * scale
+            assert is_orthogonal(f.u) and is_orthogonal(f.v)
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e-150, 1e150, 1e160])
+def test_truncated_tsvd_at_extreme_magnitudes(scale):
+    # a Gram matrix formed without rescaling squares these magnitudes into
+    # overflow or subnormals
+    rng = np.random.default_rng(215)
+    for shape in ((5, 7, 4), (7, 5, 3)):
+        a = scale * rng.standard_normal(shape)
+        for k in (1, 3, 5):
+            f = truncated_tsvd(a, k)
+            u, s, v = leading_of_full(a, k)
+            assert np.abs(f.u - u).max() <= 1e-12
+            assert np.abs(f.v - v).max() <= 1e-12
+            assert np.abs(f.s - s).max() <= 1e-12 * np.abs(s).max()
+
+
+def test_truncated_tsvd_with_one_huge_entry():
+    rng = np.random.default_rng(216)
+    a = rng.standard_normal((32, 32, 6))
+    a[3, 4, 2] = 1e300
+    for k in (1, 2, 5):
+        f = truncated_tsvd(a, k)
+        u, s, v = leading_of_full(a, k)
+        assert np.abs(f.s - s).max() <= 1e-12 * np.abs(s).max()
+        # the tubes after the first sit below rounding of the first, so only
+        # the leading factors are determined
+        assert np.abs(f.u[:, 0, :] - u[:, 0, :]).max() <= 1e-12
+        assert np.abs(f.v[:, 0, :] - v[:, 0, :]).max() <= 1e-12
+        assert is_orthogonal(f.u) and is_orthogonal(f.v)
+
+
+@pytest.mark.parametrize("shape", [(9, 7, 8), (6, 11, 9), (5, 5, 1)])
+def test_truncated_tsvd_is_independent_of_the_worker_count(shape, monkeypatch):
+    rng = np.random.default_rng(217)
+    a = rng.standard_normal(shape)
+    results = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(tsvd_module, "_worker_count", lambda: workers)
+        results.append(truncated_tsvd(a, 3))
+    for f in results[1:]:
+        np.testing.assert_array_equal(f.u, results[0].u)
+        np.testing.assert_array_equal(f.s, results[0].s)
+        np.testing.assert_array_equal(f.v, results[0].v)
+
+
+def test_concurrent_callers_get_the_serial_result(monkeypatch):
+    # more workers and callers than cores, with frequent thread switches
+    rng = np.random.default_rng(220)
+    inputs = [rng.standard_normal((9, 8, 10)) for _ in range(6)]
+    monkeypatch.setattr(tsvd_module, "_worker_count", lambda: 1)
+    expected = [truncated_tsvd(a, 2) for a in inputs]
+    monkeypatch.setattr(tsvd_module, "_worker_count", lambda: 4)
+    monkeypatch.setattr(tsvd_module, "_pool", None)
+    results = [None] * len(inputs)
+
+    def call(i):
+        for _ in range(5):
+            results[i] = truncated_tsvd(inputs[i], 2)
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=call, args=(i,)) for i in range(len(inputs))]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old_interval)
+        if tsvd_module._pool is not None:
+            tsvd_module._pool.shutdown(wait=False)
+    assert not any(t.is_alive() for t in callers)
+    for got, want in zip(results, expected):
+        np.testing.assert_array_equal(got.u, want.u)
+        np.testing.assert_array_equal(got.s, want.s)
+        np.testing.assert_array_equal(got.v, want.v)
+
+
+def _factor_and_exit():
+    truncated_tsvd(np.random.default_rng(218).standard_normal((8, 8, 8)), 2)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_forked_child_can_factor_after_the_parent_did(monkeypatch):
+    monkeypatch.setattr(tsvd_module, "_worker_count", lambda: 2)
+    _factor_and_exit()  # the parent's pool now has a worker thread
+    child = multiprocessing.get_context("fork").Process(target=_factor_and_exit)
+    child.start()
+    child.join(timeout=30)
+    if child.is_alive():
+        child.kill()
+        child.join()
+        pytest.fail("forked child hung in truncated_tsvd")
+    assert child.exitcode == 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_truncated_tsvd_non_finite_input(bad):
+    a = np.random.default_rng(219).standard_normal((4, 5, 3))
+    a[1, 2, 1] = bad
+    with pytest.raises(NumericalFailure), np.errstate(invalid="ignore"):
+        truncated_tsvd(a, 2)
 
 
 def test_truncated_tsvd_rank_bounds():
