@@ -24,21 +24,13 @@ from .errors import (DivergenceDetected, EmptyMask, FileFormatError,
 from .measure import (apply, gaussian_ensemble, rademacher_ensemble,
                       random_mask, read_msk, sampling_map)
 from .pursuit import PursuitConfig, run as run_pursuit, write_metrics_csv
-from .tensor import Tensor3, read_t3b, write_t3b
+from .tensor import Tensor3, read_t3b, rmse, write_t3b
 from .trip import TripStudyConfig, scaling_study, write_study_csv
 
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_SHAPE = 4
 EXIT_NUMERICAL = 5
-
-
-def rmse(x: Tensor3, y: Tensor3) -> float:
-    """Root mean squared entrywise error between two equal-shape tensors."""
-    if x.shape != y.shape:
-        raise ShapeMismatch(f"rmse needs equal shapes, got {x.shape} and {y.shape}")
-    diff = np.asarray(x, dtype=np.float64) - np.asarray(y, dtype=np.float64)
-    return float(np.sqrt((diff**2).sum() / diff.size))
 
 
 def _parse_dims(text: str) -> tuple:

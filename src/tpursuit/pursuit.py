@@ -1,13 +1,20 @@
 """Greedy rank-one pursuit for tensor completion and sensing.
 
 Each iteration peels ``s`` unit-norm rank-one atoms off the current
-residual, refits weights by least squares against the backprojected
-measurements, and subtracts the fitted estimate. Two refit variants exist:
+residual, refits weights by least squares against the measurements, and
+subtracts the fitted estimate. Both refit variants solve the same
+minimum-norm least squares over whitened measured columns against the
+whitened measurements, the OR1MP/EOR1MP pair of Wang, Lai, Lu & Ye (SIAM
+J. Sci. Comput., 2015); they differ only in their columns:
 
-* ``standard`` re-solves the full least squares over every atom collected
-  so far (s*k coefficients at iteration k);
-* ``economic`` solves only s+1 coefficients, one for the previous estimate
-  and one per new atom, and tracks the reconstruction incrementally.
+* ``standard`` uses every atom collected so far (s*k coefficients at
+  iteration k);
+* ``economic`` uses the previous fit phi(yhat) and the new atoms (s+1
+  coefficients), so its estimate is a rescale of the previous one plus
+  the new batch.
+
+The loop works in measurement space: the fit is phi(yhat) and the
+residual is pinv(b - fit); yhat itself is summed once, at the end.
 
 Both make the residual norm nonincreasing, and the decay is bounded by
 ``sqrt(1 - 1/min(n1, n2))`` per iteration regardless of the measurement
@@ -33,7 +40,7 @@ import numpy as np
 from .errors import DivergenceDetected, NumericalFailure, RankOutOfRange, ShapeMismatch
 from .measure import MeasurementMap, apply, pinv_apply, whiten
 from .tensor import Tensor3, conj_transpose, frobenius_norm, tprod
-from .tsvd import RankOneAtom, leading_atoms, truncated_tsvd, tubal_rank
+from .tsvd import leading_atoms, truncated_tsvd, tubal_rank
 
 RATE_SLACK = 1e-8
 
@@ -93,17 +100,21 @@ class IterationRecord:
 
 @dataclass
 class PursuitState:
-    """Mutable loop state; residual always equals r0 minus the current estimate."""
+    """Mutable loop state, kept in measurement space.
+
+    fit is phi(yhat) for yhat = sum of coeffs[i] * atoms[i], wfit its
+    whitened image, and residual is pinv(b - fit). columns holds phi of every
+    collected atom and wcolumns their whitened images; only the standard
+    refit reads them. For sampling maps whitening is the identity, and
+    wfit and wcolumns are the same arrays as fit and columns.
+    """
 
     config: PursuitConfig
-    r0: Tensor3
-    x: Tensor3
-    yhat: Tensor3
     residual: Tensor3
+    fit: np.ndarray
+    wfit: np.ndarray
     k: int = 1
     atoms: list = field(default_factory=list)
-    new_atoms: list = field(default_factory=list)
-    weights: np.ndarray | None = None
     coeffs: np.ndarray = field(default_factory=lambda: np.zeros(0))
     columns: np.ndarray | None = None
     wcolumns: np.ndarray | None = None
@@ -143,64 +154,44 @@ def measured_columns(phi: MeasurementMap, atoms) -> np.ndarray:
     return np.column_stack([apply(phi, at.atom) for at in atoms])
 
 
-def pursue_atoms(residual: Tensor3, s: int) -> list[RankOneAtom]:
-    """Leading atoms of the residual; empty when the residual is zero."""
-    return leading_atoms(residual, s)
+def solve_weights_full(wcolumns: np.ndarray, wb: np.ndarray) -> np.ndarray:
+    """Minimum-norm weights for min over theta of || wcolumns @ theta - wb ||.
 
-
-def solve_weights_full(atoms, phi: MeasurementMap, b: np.ndarray, *,
-                       wcolumns: np.ndarray | None = None,
-                       wb: np.ndarray | None = None) -> np.ndarray:
-    """Minimum-norm weights for min over theta of
-    || sum_i theta_i pinv(phi(atom_i)) - pinv(b) ||_F.
-
-    In whitened measurement coordinates this is an ordinary least squares
-    over the atom image columns, solved by orthogonal factorization rather
-    than normal equations.
+    With wcolumns the whitened images of the atoms and wb = whiten(phi, b)
+    this minimizes || sum_i theta_i pinv(phi(atom_i)) - pinv(b) ||_F,
+    solved by orthogonal factorization rather than normal equations.
     """
-    if wcolumns is None:
-        wcolumns = whiten(phi, measured_columns(phi, atoms))
-    if wb is None:
-        wb = whiten(phi, b)
     return _min_norm_lstsq(wcolumns, wb)
 
 
-def solve_weights_economic(x_prev: Tensor3, atoms, phi: MeasurementMap,
-                           b: np.ndarray) -> np.ndarray:
-    """Coefficients alpha minimizing
-    || alpha_0 x_prev + sum_j alpha_j pinv(phi(atom_j)) - pinv(b) ||_F
-    via the (s+1) x (s+1) Gram system; minimum-norm on singularity."""
-    r0 = pinv_apply(phi, b)
-    cols = [x_prev] + [pinv_apply(phi, apply(phi, at.atom)) for at in atoms]
-    flat = np.stack([c.ravel() for c in cols])
-    gram = flat @ flat.T
-    rhs = flat @ r0.ravel()
-    return _min_norm_lstsq(gram, rhs)
+def solve_weights_economic(wcolumns: np.ndarray, wb: np.ndarray) -> np.ndarray:
+    """The least squares of solve_weights_full over the economic block
+    [whiten(phi(yhat_prev)), whitened new atom images].
+
+    Column 0 is scaled to unit norm for the solve and its weight scaled
+    back. Its norm tracks ||b|| while the atom columns have norm at most 1,
+    so unscaled the block's condition number would grow with the scale of
+    b and lstsq's cutoff would drop a direction. A zero column 0 (before
+    the first atom) is left as it is.
+    """
+    scale = np.ones(wcolumns.shape[1])
+    scale[0] = np.linalg.norm(wcolumns[:, 0]) or 1.0
+    return _min_norm_lstsq(wcolumns / scale, wb) / scale
 
 
-def update_residual(state: PursuitState, phi: MeasurementMap, b: np.ndarray) -> PursuitState:
-    """Fold the weights solved this iteration into the state.
+def update_residual(state: PursuitState, phi: MeasurementMap, b: np.ndarray, atoms,
+                    coeffs: np.ndarray, fit: np.ndarray, wfit: np.ndarray) -> PursuitState:
+    """Fold one refit into the state.
 
-    Recomputes the estimate, subtracts it from the backprojection, appends
-    the history record. Raises NumericalFailure when the residual norm is
-    not finite and DivergenceDetected when it grows by more than 1e-8
+    atoms are this iteration's new atoms, coeffs the weights of every atom
+    collected so far, fit the measured image of that estimate and wfit its
+    whitened image. Sets the residual to pinv(b - fit) and appends the
+    history record. Raises NumericalFailure when the residual norm is not
+    finite and DivergenceDetected when it grows by more than RATE_SLACK
     relative to the starting norm.
     """
-    cfg = state.config
-    if cfg.variant == "standard":
-        x_new = pinv_apply(phi, state.columns @ state.weights)
-        yhat_new = state.yhat
-        coeffs = np.asarray(state.weights, dtype=np.float64).copy()
-    else:
-        alpha = np.asarray(state.weights, dtype=np.float64)
-        x_new = alpha[0] * state.x
-        yhat_new = alpha[0] * state.yhat
-        for a_j, at in zip(alpha[1:], state.new_atoms):
-            x_new = x_new + a_j * pinv_apply(phi, apply(phi, at.atom))
-            yhat_new = yhat_new + a_j * at.atom
-        coeffs = np.concatenate([state.coeffs * alpha[0], alpha[1:]])
-    residual_new = state.r0 - x_new
-    norm_new = frobenius_norm(residual_new)
+    residual = pinv_apply(phi, b - fit)
+    norm_new = frobenius_norm(residual)
     if not math.isfinite(norm_new):
         raise NumericalFailure(f"residual norm is {norm_new} at iteration {state.k}")
     norm_prev = state.residual_norms[-1]
@@ -209,22 +200,19 @@ def update_residual(state: PursuitState, phi: MeasurementMap, b: np.ndarray) -> 
         raise DivergenceDetected(
             f"residual grew from {norm_prev:.6e} to {norm_new:.6e} at iteration {state.k}"
         )
-    tau = _decay_factor(state.r0.shape)
     state.history.append(IterationRecord(
         k=state.k,
         residual_norm=norm_new,
-        rate_bound=norm_start * tau**state.k,
+        rate_bound=norm_start * _decay_factor(phi.dims)**state.k,
         elapsed_s=time.perf_counter() - state.iter_started_at,
-        leading_inner=state.new_atoms[0].tube_norm,
+        leading_inner=atoms[0].tube_norm,
     ))
     state.residual_norms.append(norm_new)
-    state.atoms.extend(state.new_atoms)
-    state.new_atoms = []
-    state.weights = None
+    state.atoms.extend(atoms)
     state.coeffs = coeffs
-    state.x = x_new
-    state.yhat = yhat_new
-    state.residual = residual_new
+    state.fit = fit
+    state.wfit = wfit
+    state.residual = residual
     state.k += 1
     return state
 
@@ -256,44 +244,42 @@ def run(b: np.ndarray, phi: MeasurementMap, cfg: PursuitConfig) -> PursuitResult
     r0_norm = frobenius_norm(r0)
     if not math.isfinite(r0_norm):
         raise NumericalFailure(f"backprojection norm is {r0_norm}; the measurements overflow")
-    zero = np.zeros(phi.dims)
-    state = PursuitState(config=cfg, r0=r0, x=zero, yhat=zero.copy(),
-                         residual=r0.copy(), residual_norms=[r0_norm])
-    wb = whiten(phi, b) if cfg.variant == "standard" else None
+    fit = np.zeros(phi.m)
+    empty = np.zeros((phi.m, 0))
+    state = PursuitState(config=cfg, residual=r0, fit=fit, wfit=fit,
+                         columns=empty, wcolumns=empty, residual_norms=[r0_norm])
+    wb = whiten(phi, b)
     converged = r0_norm <= cfg.residual_tol * r0_norm
     while state.k <= cfg.iterations_limit and not converged:
         state.iter_started_at = time.perf_counter()
         left = cfg.r - cfg.s * (state.k - 1)
-        atoms = pursue_atoms(state.residual, min(cfg.s, left) if left > 0 else cfg.s)
+        atoms = leading_atoms(state.residual, min(cfg.s, left) if left > 0 else cfg.s)
         if not atoms:
             converged = True
             break
-        state.new_atoms = atoms
+        cols = measured_columns(phi, atoms)
+        wcols = whiten(phi, cols)
+        # whitening is the identity for sampling maps: keep one copy
         if cfg.variant == "standard":
-            new_cols = measured_columns(phi, atoms)
-            new_wcols = whiten(phi, new_cols)
-            state.columns = new_cols if state.columns is None else np.hstack([state.columns, new_cols])
-            if new_wcols is new_cols:
-                # whitening is the identity here (sampling maps): keep one copy
-                state.wcolumns = state.columns
-            else:
-                state.wcolumns = (new_wcols if state.wcolumns is None
-                                  else np.hstack([state.wcolumns, new_wcols]))
-            state.weights = solve_weights_full(state.atoms + atoms, phi, b,
-                                               wcolumns=state.wcolumns, wb=wb)
+            state.columns = np.hstack([state.columns, cols])
+            state.wcolumns = (state.columns if wcols is cols
+                              else np.hstack([state.wcolumns, wcols]))
+            columns, wcolumns = state.columns, state.wcolumns
+            weights = coeffs = solve_weights_full(wcolumns, wb)
         else:
-            state.weights = solve_weights_economic(state.x, atoms, phi, b)
-        update_residual(state, phi, b)
+            columns = np.column_stack([state.fit, cols])
+            wcolumns = columns if wcols is cols else np.column_stack([state.wfit, wcols])
+            weights = solve_weights_economic(wcolumns, wb)
+            coeffs = np.concatenate([weights[0] * state.coeffs, weights[1:]])
+        fit = columns @ weights
+        wfit = fit if wcolumns is columns else wcolumns @ weights
+        update_residual(state, phi, b, atoms, coeffs, fit, wfit)
         converged = state.residual_norms[-1] <= cfg.residual_tol * r0_norm
-    if cfg.variant == "standard":
-        yhat = zero.copy()
-        for c, at in zip(state.coeffs, state.atoms):
-            yhat += c * at.atom
-    else:
-        yhat = state.yhat
-    tau = _decay_factor(phi.dims)
+    yhat = np.zeros(phi.dims)
+    for c, at in zip(state.coeffs, state.atoms):
+        yhat += c * at.atom
     norms = np.asarray(state.residual_norms)
-    bound = r0_norm * tau ** np.arange(norms.size)
+    bound = r0_norm * _decay_factor(phi.dims) ** np.arange(norms.size)
     return PursuitResult(yhat=yhat, residual_norms=norms, bound_curve=bound,
                          iterations=state.k - 1, converged=bool(converged),
                          variant=cfg.variant, history=tuple(state.history))

@@ -189,6 +189,14 @@ def frobenius_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
+def rmse(x: Tensor3, y: Tensor3) -> float:
+    """Root mean squared entrywise error between two equal-shape tensors."""
+    if x.shape != y.shape:
+        raise ShapeMismatch(f"rmse needs equal shapes, got {x.shape} and {y.shape}")
+    diff = np.asarray(x, dtype=np.float64) - np.asarray(y, dtype=np.float64)
+    return float(np.sqrt((diff**2).sum() / diff.size))
+
+
 def inner(a: Tensor3, b: Tensor3) -> float:
     """Entrywise inner product <a, b>."""
     if a.shape != b.shape:

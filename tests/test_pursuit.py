@@ -15,6 +15,7 @@ from tpursuit.measure import (
     pinv_apply,
     random_mask,
     sampling_map,
+    whiten,
 )
 from tpursuit.tensor import frobenius_norm, inner
 from tpursuit.trip import sample_rank_r_unit
@@ -44,7 +45,8 @@ def test_solve_weights_full_matches_dense_oracle():
         b = apply(phi, y)
         r0 = pinv_apply(phi, b)
         atoms = leading_atoms(r0, 3)
-        theta = pu.solve_weights_full(atoms, phi, b)
+        wcolumns = whiten(phi, pu.measured_columns(phi, atoms))
+        theta = pu.solve_weights_full(wcolumns, whiten(phi, b))
         cols = np.column_stack(
             [pinv_apply(phi, apply(phi, at.atom)).ravel() for at in atoms]
         )
@@ -62,7 +64,7 @@ def test_single_atom_weight_under_full_observation():
     y = rng.standard_normal(dims)
     b = apply(phi, y)
     atoms = leading_atoms(y, 1)
-    theta = pu.solve_weights_full(atoms, phi, b)
+    theta = pu.solve_weights_full(pu.measured_columns(phi, atoms), b)
     # unit atom, identity map: optimal weight is the plain inner product
     assert abs(theta[0] - inner(atoms[0].atom, y)) <= 1e-10 * abs(theta[0])
     assert abs(theta[0] - atoms[0].tube_norm) <= 1e-8 * abs(theta[0])
@@ -90,20 +92,21 @@ def test_full_refit_never_loses_to_running_rescale():
         phi = sampling_map(random_mask(dims, 0.45, seed=trial))
         b = apply(phi, y)
         r0 = pinv_apply(phi, b)
-        x = np.zeros(dims)
+        wb = whiten(phi, b)
+        fit = np.zeros(phi.m)
         collected = []
         for _ in range(4):
-            atoms = pu.pursue_atoms(r0 - x, 1)
+            atoms = leading_atoms(r0 - pinv_apply(phi, fit), 1)
             if not atoms:
                 break
-            alpha = pu.solve_weights_economic(x, atoms, phi, b)
+            block = np.column_stack([fit, pu.measured_columns(phi, atoms)])
+            alpha = pu.solve_weights_economic(whiten(phi, block), wb)
             collected.extend(atoms)
-            theta = pu.solve_weights_full(collected, phi, b)
-            x_econ = alpha[0] * x + alpha[1] * pinv_apply(phi, apply(phi, atoms[0].atom))
-            econ = frobenius_norm(x_econ - r0)
+            theta = pu.solve_weights_full(whiten(phi, pu.measured_columns(phi, collected)), wb)
+            fit = block @ alpha
+            econ = frobenius_norm(pinv_apply(phi, fit) - r0)
             full = tensor_objective(phi, collected, theta, r0)
             assert full <= econ + 1e-10 * max(1.0, econ)
-            x = x_econ
 
 
 def test_zero_measurements_short_circuit():
@@ -195,8 +198,6 @@ def test_residual_equals_measured_misfit():
     y = sample_rank_r_unit(dims, 2, rng)
     mask_phi = sampling_map(random_mask(dims, 0.4, seed=2))
     dense_phi = gaussian_ensemble(40, dims, seed=2)
-    from tpursuit.measure import whiten
-
     for phi in (mask_phi, dense_phi):
         b = apply(phi, y)
         res = pu.run(b, phi, pu.PursuitConfig(r=2, variant="economic"))
@@ -255,19 +256,18 @@ def test_divergence_detected_on_bad_weights():
     b = apply(phi, y)
     r0 = pinv_apply(phi, b)
     atoms = leading_atoms(r0, 1)
+    zero = np.zeros(phi.m)
     state = pu.PursuitState(
         config=pu.PursuitConfig(r=1),
-        r0=r0,
-        x=np.zeros(dims),
-        yhat=np.zeros(dims),
-        residual=r0.copy(),
+        residual=r0,
+        fit=zero,
+        wfit=zero,
         residual_norms=[frobenius_norm(r0)],
-        new_atoms=atoms,
-        columns=pu.measured_columns(phi, atoms),
-        weights=np.array([1e6]),
     )
+    weights = np.array([1e6])
+    fit = pu.measured_columns(phi, atoms) @ weights
     with pytest.raises(DivergenceDetected):
-        pu.update_residual(state, phi, b)
+        pu.update_residual(state, phi, b, atoms, weights, fit, fit)
 
 
 def test_non_finite_norms_raise_numerical_failure():
@@ -285,20 +285,37 @@ def test_non_finite_norms_raise_numerical_failure():
     b = apply(phi, rng.standard_normal((4, 4, 2)))
     r0 = pinv_apply(phi, b)
     atoms = leading_atoms(r0, 1)
+    zero = np.zeros(phi.m)
     for bad in (np.nan, np.inf):
         state = pu.PursuitState(
             config=pu.PursuitConfig(r=1),
-            r0=r0,
-            x=np.zeros(phi.dims),
-            yhat=np.zeros(phi.dims),
-            residual=r0.copy(),
+            residual=r0,
+            fit=zero,
+            wfit=zero,
             residual_norms=[frobenius_norm(r0)],
-            new_atoms=atoms,
-            columns=pu.measured_columns(phi, atoms),
-            weights=np.array([bad]),
         )
+        weights = np.array([bad])
+        fit = pu.measured_columns(phi, atoms) @ weights
         with pytest.raises(NumericalFailure, match="residual norm"):
-            pu.update_residual(state, phi, b)
+            pu.update_residual(state, phi, b, atoms, weights, fit, fit)
+
+
+def test_relative_residuals_do_not_depend_on_the_scale_of_b():
+    # the economic block mixes the previous fit (norm about ||b||) with
+    # unit atoms; unless its first column is scaled, lstsq's cutoff drops
+    # a direction once b is scaled far from 1 (DivergenceDetected at 1e-8,
+    # a stall after iteration 1 at 1e8)
+    dims = (8, 8, 4)
+    y = sample_rank_r_unit(dims, 2, np.random.default_rng(412))
+    phi = sampling_map(random_mask(dims, 0.5, seed=5))
+    b = apply(phi, y)
+    for variant in ("standard", "economic"):
+        cfg = pu.PursuitConfig(r=3, s=1, variant=variant)
+        ref = pu.run(b, phi, cfg).residual_norms
+        for scale in (1e-8, 1e-4, 1e8, 1e12, 1e150):
+            norms = pu.run(scale * b, phi, cfg).residual_norms
+            np.testing.assert_allclose(norms / norms[0], ref / ref[0], rtol=0, atol=1e-10,
+                                       err_msg=f"{variant} at scale {scale:g}")
 
 
 def test_metrics_csv_round_trip(tmp_path):
