@@ -19,13 +19,13 @@ import numpy as np
 
 from . import frames
 from .errors import (DivergenceDetected, EmptyMask, FileFormatError,
-                     NonNegligibleImaginaryPart, NumericalFailure,
-                     RankDeficientMap, RankOutOfRange, ShapeMismatch)
+                     NumericalFailure, RankDeficientMap, RankOutOfRange,
+                     ShapeMismatch)
 from .measure import (apply, gaussian_ensemble, rademacher_ensemble,
                       random_mask, read_msk, sampling_map)
 from .pursuit import PursuitConfig, run as run_pursuit, write_metrics_csv
 from .tensor import Tensor3, read_t3b, rmse, write_t3b
-from .trip import TripStudyConfig, scaling_study, write_study_csv
+from .trip import TripStudyConfig, sample_rank_r_unit, scaling_study, write_study_csv
 
 EXIT_USAGE = 2
 EXIT_IO = 3
@@ -77,8 +77,6 @@ def cmd_synth(args) -> int:
     dims = _parse_dims(args.dims)
     if not 1 <= args.rank <= min(dims[0], dims[1]):
         raise RankOutOfRange(f"rank {args.rank} outside [1, {min(dims[0], dims[1])}]")
-    from .trip import sample_rank_r_unit
-
     rng = np.random.default_rng(int(args.seed))
     y = sample_rank_r_unit(dims, args.rank, rng)
     y = y * rng.uniform(1.0, 10.0)
@@ -130,7 +128,7 @@ def cmd_complete(args) -> int:
         mask = random_mask(y.shape, args.missing, int(args.seed))
     phi = sampling_map(mask)
     b = apply(phi, observed)
-    cfg = PursuitConfig(r=args.rank, s=args.batch, variant=args.variant, seed=int(args.seed))
+    cfg = PursuitConfig(r=args.rank, s=args.batch, variant=args.variant)
     t0 = time.perf_counter()
     result = run_pursuit(b, phi, cfg)
     wall = time.perf_counter() - t0
@@ -145,7 +143,7 @@ def cmd_sense(args) -> int:
     make = gaussian_ensemble if args.ensemble == "gaussian" else rademacher_ensemble
     phi = make(args.m, y.shape, seed=int(args.seed))
     b = apply(phi, observed)
-    cfg = PursuitConfig(r=args.rank, s=args.batch, variant=args.variant, seed=int(args.seed))
+    cfg = PursuitConfig(r=args.rank, s=args.batch, variant=args.variant)
     t0 = time.perf_counter()
     result = run_pursuit(b, phi, cfg)
     wall = time.perf_counter() - t0
@@ -264,8 +262,7 @@ def main(argv=None) -> int:
     except ShapeMismatch as exc:
         print(f"tpursuit: {exc}", file=sys.stderr)
         return EXIT_SHAPE
-    except (NumericalFailure, RankDeficientMap, DivergenceDetected,
-            NonNegligibleImaginaryPart) as exc:
+    except (NumericalFailure, RankDeficientMap, DivergenceDetected) as exc:
         print(f"tpursuit: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

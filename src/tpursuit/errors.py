@@ -9,10 +9,6 @@ class ShapeMismatch(TpursuitError, ValueError):
     """Operands or files carry incompatible dimensions."""
 
 
-class NonNegligibleImaginaryPart(TpursuitError, ArithmeticError):
-    """An inverse DFT left an imaginary residue above tolerance."""
-
-
 class RankOutOfRange(TpursuitError, ValueError):
     """A rank or truncation width lies outside [1, min(n1, n2)]."""
 

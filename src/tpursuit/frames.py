@@ -33,6 +33,9 @@ def _parse_header(blob: bytes, path) -> tuple[bytes, int, int, int, int]:
             start = pos
             while pos < len(blob) and blob[pos:pos + 1].isdigit():
                 pos += 1
+            # int() refuses strings past sys.get_int_max_str_digits()
+            if pos - start > 20:
+                raise FileFormatError(f"{path}: header number of {pos - start} digits")
             tokens.append(int(blob[start:pos]))
         else:
             raise FileFormatError(f"{path}: unexpected byte {c!r} in header")
@@ -59,6 +62,8 @@ def _read_raster(path, channels: int) -> np.ndarray:
     if len(raster) != count:
         raise FileFormatError(f"{path}: raster holds {len(raster)} bytes, expected {count}")
     data = np.frombuffer(raster, dtype=np.uint8).astype(np.float64)
+    if data.max() > maxval:
+        raise FileFormatError(f"{path}: sample {data.max():g} exceeds maxval {maxval}")
     data *= 255.0 / maxval
     if channels == 1:
         return data.reshape(height, width)

@@ -1,11 +1,13 @@
 """Measurement maps: entry sampling masks and dense sensing matrices.
 
-Both kinds act on the vectorization of a tensor in its storage layout
-(column-major slices, offset k*n1*n2 + j*n1 + i). A sampling map picks
-entries; a dense map multiplies by an m x N matrix. ``pinv_apply`` is the
-Moore-Penrose right inverse, so apply(pinv_apply(b)) == b whenever the map
-has full row rank, and pinv_apply(apply(x)) is the orthogonal projection
-of x onto the row space.
+Both act on the vectorization of a tensor in its storage layout
+(column-major slices, offset k*n1*n2 + j*n1 + i). A ``SamplingMap`` picks
+entries; a ``DenseMap`` multiplies by an m x N matrix. Their methods take
+vectors in that layout; the module functions ``apply``, ``pinv_apply`` and
+``whiten`` check shapes and vectorize, then call them. ``pinv_apply`` is
+the Moore-Penrose right inverse, so apply(pinv_apply(b)) == b whenever the
+map has full row rank, and pinv_apply(apply(x)) is the orthogonal
+projection of x onto the row space.
 """
 
 from __future__ import annotations
@@ -60,30 +62,51 @@ class SamplingMask:
         return int(self.indices.size)
 
 
-class MeasurementMap:
-    """Linear map from tensors of fixed dims to R^m."""
+class SamplingMap:
+    """Reads the masked entries of a tensor in offset order."""
 
-    def __init__(self, kind, dims, mask=None, matrix=None, ensemble=None, seed=None):
-        if kind not in ("sampling", "dense"):
-            raise ValueError(f"unknown measurement kind {kind!r}")
-        self.kind = kind
-        self.dims = tuple(int(d) for d in dims)
+    def __init__(self, mask: SamplingMask):
         self.mask = mask
+        self.dims = mask.dims
+        self.m = mask.p
+        self.n = self.dims[0] * self.dims[1] * self.dims[2]
+
+    def measure(self, v: np.ndarray) -> np.ndarray:
+        # fancy indexing returns a new array, one row per row of v
+        return v[..., self.mask.indices]
+
+    def preimage(self, b: np.ndarray) -> np.ndarray:
+        v = np.zeros(self.n)
+        v[self.mask.indices] = b
+        return v
+
+    def whiten(self, v: np.ndarray) -> np.ndarray:
+        # the rows of a sampling map are orthonormal already
+        return v
+
+
+class DenseMap:
+    """Multiplies the vectorized tensor by an explicit m x N sensing matrix."""
+
+    def __init__(self, matrix: np.ndarray, dims):
+        dims = tuple(int(d) for d in dims)
+        n = dims[0] * dims[1] * dims[2]
+        matrix = np.asarray(matrix, dtype=np.float64)
+        if matrix.ndim != 2 or matrix.shape[1] != n:
+            raise ShapeMismatch(f"sensing matrix must be m x {n}, got {matrix.shape}")
+        if matrix.shape[0] < 1:
+            raise ValueError("a sensing matrix needs at least one row")
+        if matrix.shape[0] * n > DENSE_ENTRY_LIMIT:
+            raise ValueError(
+                f"dense map of {matrix.shape[0]}x{n} exceeds the {DENSE_ENTRY_LIMIT} entry limit"
+            )
+        if not np.all(np.isfinite(matrix)):
+            raise ValueError("sensing matrix entries must be finite")
         self.matrix = matrix
-        self.ensemble = ensemble
-        self.seed = seed
+        self.dims = dims
+        self.m = matrix.shape[0]
+        self.n = n
         self._chol = None
-
-    @property
-    def m(self) -> int:
-        if self.kind == "sampling":
-            return self.mask.p
-        return self.matrix.shape[0]
-
-    @property
-    def n(self) -> int:
-        d = self.dims
-        return d[0] * d[1] * d[2]
 
     def _cholesky(self) -> np.ndarray:
         # upper Cholesky factor U of matrix @ matrix.T = U'U, built and
@@ -109,46 +132,42 @@ class MeasurementMap:
             self._chol = chol.T
         return self._chol
 
+    def measure(self, v: np.ndarray) -> np.ndarray:
+        return v @ self.matrix.T
 
-def sampling_map(mask: SamplingMask) -> MeasurementMap:
-    """Measurement map that reads the masked entries in offset order."""
-    return MeasurementMap("sampling", mask.dims, mask=mask)
+    def preimage(self, b: np.ndarray) -> np.ndarray:
+        if not np.all(np.isfinite(b)):
+            raise ValueError("measurement vector must be finite")
+        w = scipy.linalg.cho_solve((self._cholesky(), False), b, check_finite=False)
+        return self.matrix.T @ w
 
-
-def dense_map(matrix: np.ndarray, dims, ensemble: str = "custom", seed=None) -> MeasurementMap:
-    """Wrap an explicit m x N sensing matrix."""
-    dims = tuple(int(d) for d in dims)
-    n = dims[0] * dims[1] * dims[2]
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2 or matrix.shape[1] != n:
-        raise ShapeMismatch(f"sensing matrix must be m x {n}, got {matrix.shape}")
-    if matrix.shape[0] < 1:
-        raise ValueError("a sensing matrix needs at least one row")
-    if matrix.shape[0] * n > DENSE_ENTRY_LIMIT:
-        raise ValueError(
-            f"dense map of {matrix.shape[0]}x{n} exceeds the {DENSE_ENTRY_LIMIT} entry limit"
-        )
-    if not np.all(np.isfinite(matrix)):
-        raise ValueError("sensing matrix entries must be finite")
-    return MeasurementMap("dense", dims, matrix=matrix, ensemble=ensemble, seed=seed)
+    def whiten(self, v: np.ndarray) -> np.ndarray:
+        v = np.asarray(v)
+        if not np.all(np.isfinite(v)):
+            raise ValueError("measured vectors must be finite")
+        return scipy.linalg.solve_triangular(self._cholesky(), v, trans="T", check_finite=False)
 
 
-def gaussian_ensemble(m: int, dims, seed) -> MeasurementMap:
+MeasurementMap = SamplingMap | DenseMap
+"""Linear map from tensors of fixed dims to R^m."""
+
+sampling_map = SamplingMap
+dense_map = DenseMap
+
+
+def gaussian_ensemble(m: int, dims, seed) -> DenseMap:
     """iid N(0, 1/m) sensing matrix; E||phi(x)||^2 equals ||x||_F^2."""
-    dims = tuple(int(d) for d in dims)
-    n = dims[0] * dims[1] * dims[2]
     rng = np.random.default_rng(seed)
-    matrix = rng.standard_normal((int(m), n)) / math.sqrt(m)
-    return dense_map(matrix, dims, ensemble="gaussian", seed=seed)
+    n = math.prod(int(d) for d in dims)
+    return DenseMap(rng.standard_normal((int(m), n)) / math.sqrt(m), dims)
 
 
-def rademacher_ensemble(m: int, dims, seed) -> MeasurementMap:
+def rademacher_ensemble(m: int, dims, seed) -> DenseMap:
     """iid +-1/sqrt(m) sensing matrix; E||phi(x)||^2 equals ||x||_F^2."""
-    dims = tuple(int(d) for d in dims)
-    n = dims[0] * dims[1] * dims[2]
     rng = np.random.default_rng(seed)
+    n = math.prod(int(d) for d in dims)
     signs = rng.integers(0, 2, size=(int(m), n)).astype(np.float64) * 2.0 - 1.0
-    return dense_map(signs / math.sqrt(m), dims, ensemble="rademacher", seed=seed)
+    return DenseMap(signs / math.sqrt(m), dims)
 
 
 def random_mask(dims, missing_ratio: float, seed) -> SamplingMask:
@@ -176,17 +195,11 @@ def apply(phi: MeasurementMap, x: Tensor3) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 4 and x.shape[1:] == phi.dims:
         # each row in storage order; a free view when x[i] is Fortran ordered
-        v = x.transpose(0, 3, 2, 1).reshape(x.shape[0], phi.n)
-        if phi.kind == "sampling":
-            return v[:, phi.mask.indices]
-        return v @ phi.matrix.T
+        return phi.measure(x.transpose(0, 3, 2, 1).reshape(x.shape[0], phi.n))
     if x.shape != phi.dims:
         raise ShapeMismatch(f"tensor shape {x.shape} does not match map dims {phi.dims}"
                             " or a stack of them")
-    v = _vec(x)
-    if phi.kind == "sampling":
-        return v[phi.mask.indices].copy()
-    return phi.matrix @ v
+    return phi.measure(_vec(x))
 
 
 def pinv_apply(phi: MeasurementMap, b: np.ndarray) -> Tensor3:
@@ -200,30 +213,18 @@ def pinv_apply(phi: MeasurementMap, b: np.ndarray) -> Tensor3:
     b = np.asarray(b, dtype=np.float64).ravel()
     if b.size != phi.m:
         raise ShapeMismatch(f"measurement vector has length {b.size}, expected {phi.m}")
-    if phi.kind == "sampling":
-        v = np.zeros(phi.n)
-        v[phi.mask.indices] = b
-        return _unvec(v, phi.dims)
-    if not np.all(np.isfinite(b)):
-        raise ValueError("measurement vector must be finite")
-    w = scipy.linalg.cho_solve((phi._cholesky(), False), b, check_finite=False)
-    return _unvec(phi.matrix.T @ w, phi.dims)
+    return _unvec(phi.preimage(b), phi.dims)
 
 
 def whiten(phi: MeasurementMap, v: np.ndarray) -> np.ndarray:
     """Map measured vectors to coordinates where the projected-tensor inner
     product is the plain dot product.
 
-    Sampling maps are row-orthonormal already; dense maps apply the inverse
-    of the lower Cholesky factor of phi phi' and raise ValueError when v
-    holds a non-finite value.
+    Sampling maps are row-orthonormal already and return v itself; dense
+    maps apply the inverse of the lower Cholesky factor of phi phi' and
+    raise ValueError when v holds a non-finite value.
     """
-    if phi.kind == "sampling":
-        return v
-    v = np.asarray(v)
-    if not np.all(np.isfinite(v)):
-        raise ValueError("measured vectors must be finite")
-    return scipy.linalg.solve_triangular(phi._cholesky(), v, trans="T", check_finite=False)
+    return phi.whiten(v)
 
 
 def write_msk(path, mask: SamplingMask) -> None:

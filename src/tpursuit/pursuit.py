@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergenceDetected, NumericalFailure, RankOutOfRange, ShapeMismatch
-from .measure import MeasurementMap, apply, pinv_apply, whiten
+from .measure import MeasurementMap, SamplingMap, apply, pinv_apply, whiten
 from .tensor import Tensor3, conj_transpose, frobenius_norm, tprod
 from .tsvd import leading_atoms, truncated_tsvd, tubal_rank
 
@@ -61,8 +61,8 @@ class PursuitConfig:
     (1 <= s <= r). Iteration k adds min(s, r - s*(k-1)) atoms while that is
     positive, so the default max_iters = ceil(r / s) collects at most r
     atoms; iterations past that (an explicit larger max_iters) add s each.
-    residual_tol stops early once ||R_k|| <= residual_tol * ||R_1||. seed
-    is echoed into run records; the pursuit itself draws no randomness.
+    residual_tol stops early once ||R_k|| <= residual_tol * ||R_1||. The
+    pursuit draws no randomness.
     """
 
     r: int
@@ -70,7 +70,6 @@ class PursuitConfig:
     variant: str = "standard"
     residual_tol: float = 0.0
     max_iters: int | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.r < 1:
@@ -367,8 +366,8 @@ def refine(b: np.ndarray, phi: MeasurementMap, yhat: Tensor3, r: int) -> Tensor3
     value, when one would raise it, or after REFINE_MAX_SWEEPS. Raises
     ValueError when b holds a non-finite value.
     """
-    if phi.kind != "sampling":
-        raise ValueError(f"refine fits observed entries and needs a sampling map, got {phi.kind!r}")
+    if not isinstance(phi, SamplingMap):
+        raise ValueError(f"refine needs a sampling map, got {type(phi).__name__}")
     n1, n2, _ = phi.dims
     if not 1 <= r <= min(n1, n2):
         raise RankOutOfRange(f"refit rank {r} outside [1, {min(n1, n2)}]")

@@ -7,9 +7,6 @@ so every product reduces to independent complex matrix products across the
 DFT slices. Real input has conjugate-symmetric DFT slices, hence only the
 first ``n3 // 2 + 1`` slices are ever computed and the rest are mirrored.
 
-The block-circulant view (:func:`bcirc`, :func:`unfold`, :func:`fold`) is
-kept as a reference oracle for tests and stays off the hot paths.
-
 Entry ``(i, j, k)`` of a tensor lives at linear offset
 ``k*n1*n2 + j*n1 + i`` (zero-based), which is Fortran order for shape
 ``(n1, n2, n3)``; serialization and masks rely on that layout.
@@ -18,21 +15,15 @@ Entry ``(i, j, k)`` of a tensor lives at linear offset
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FileFormatError, NonNegligibleImaginaryPart, ShapeMismatch
+from .errors import FileFormatError, ShapeMismatch
 
 Tensor3 = np.ndarray
 """Alias for a real float64 array of shape ``(n1, n2, n3)``."""
 
 T3B_MAGIC = b"T3B1"
-
-# bcirc/bdiag materialize (n1*n3) x (n2*n3) matrices; keep them test sized
-ORACLE_DIM_LIMIT = 64
-
-IFFT_IMAG_REL_TOL = 1e-10
 
 
 def as_tensor3(data) -> Tensor3:
@@ -49,109 +40,13 @@ def as_tensor3(data) -> Tensor3:
     return arr
 
 
-@dataclass(frozen=True)
-class FourierTensor:
-    """Per-tube DFT of a tensor.
-
-    ``slices[:, :, k]`` is the k-th DFT coefficient of every tube, i.e. the
-    k-th diagonal block of the block-diagonalized circulant form.
-    ``real_origin`` records that the source was real, in which case slice k
-    and slice (n3 - k) mod n3 are entrywise complex conjugates.
-    """
-
-    slices: np.ndarray
-    real_origin: bool = True
-
-    @property
-    def n1(self) -> int:
-        return self.slices.shape[0]
-
-    @property
-    def n2(self) -> int:
-        return self.slices.shape[1]
-
-    @property
-    def n3(self) -> int:
-        return self.slices.shape[2]
-
-
-def fft3(a: Tensor3) -> FourierTensor:
-    """Unnormalized DFT along every tube: fft3 of tube (1, 2) is (3, -1)."""
-    a = np.asarray(a, dtype=np.float64)
-    return FourierTensor(np.fft.fft(a, axis=2), real_origin=True)
-
-
-def ifft3(ah: FourierTensor, rel_tol: float = IFFT_IMAG_REL_TOL) -> Tensor3:
-    """Inverse of :func:`fft3`, returning a real tensor.
-
-    The imaginary residue of the inverse transform must stay below
-    ``rel_tol`` times the Frobenius norm of the real part; anything larger
-    means the input was not conjugate symmetric and raises
-    NonNegligibleImaginaryPart.
-    """
-    x = np.fft.ifft(ah.slices, axis=2)
-    real = np.ascontiguousarray(x.real)
-    imag_norm = float(np.linalg.norm(x.imag))
-    if imag_norm > rel_tol * float(np.linalg.norm(real)):
-        raise NonNegligibleImaginaryPart(
-            f"imaginary residue {imag_norm:.3e} exceeds {rel_tol:g} of the result norm"
-        )
-    return real
-
-
-def unfold(a: Tensor3) -> np.ndarray:
-    """Stack the frontal slices vertically into an (n1*n3) x n2 matrix."""
-    n1, n2, n3 = a.shape
-    return a.transpose(2, 0, 1).reshape(n3 * n1, n2)
-
-
-def fold(mat: np.ndarray, n3: int) -> Tensor3:
-    """Inverse of :func:`unfold`; the row count must be divisible by n3."""
-    rows, n2 = mat.shape
-    if n3 < 1 or rows % n3:
-        raise ShapeMismatch(f"cannot fold {rows} rows into {n3} slices")
-    n1 = rows // n3
-    return np.ascontiguousarray(mat.reshape(n3, n1, n2).transpose(1, 2, 0))
-
-
-def bcirc(a: Tensor3) -> np.ndarray:
-    """Block-circulant matrix of the frontal slices (test oracle only).
-
-    Block row i, block column j holds slice (i - j) mod n3, so the first
-    block column reads slice 1..n3 top to bottom. Materialization is
-    limited to n1*n3 <= 64 and n2*n3 <= 64.
-    """
-    n1, n2, n3 = a.shape
-    if n1 * n3 > ORACLE_DIM_LIMIT or n2 * n3 > ORACLE_DIM_LIMIT:
-        raise ValueError(
-            f"bcirc materialization is limited to {ORACLE_DIM_LIMIT} rows/cols per side"
-        )
-    out = np.zeros((n1 * n3, n2 * n3))
-    for bi in range(n3):
-        for bj in range(n3):
-            out[bi * n1:(bi + 1) * n1, bj * n2:(bj + 1) * n2] = a[:, :, (bi - bj) % n3]
-    return out
-
-
-def bdiag(ah: FourierTensor) -> np.ndarray:
-    """Block-diagonal matrix of the DFT slices (test oracle only)."""
-    n1, n2, n3 = ah.slices.shape
-    if n1 * n3 > ORACLE_DIM_LIMIT or n2 * n3 > ORACLE_DIM_LIMIT:
-        raise ValueError(
-            f"bdiag materialization is limited to {ORACLE_DIM_LIMIT} rows/cols per side"
-        )
-    out = np.zeros((n1 * n3, n2 * n3), dtype=np.complex128)
-    for k in range(n3):
-        out[k * n1:(k + 1) * n1, k * n2:(k + 1) * n2] = ah.slices[:, :, k]
-    return out
-
-
 def tprod(a: Tensor3, b: Tensor3) -> Tensor3:
     """Tensor product of a (n1 x n2 x n3) with b (n2 x l x n3).
 
-    Equals fold(bcirc(a) @ unfold(b)) but is computed slice-wise in the DFT
-    domain at FFT cost. Only the leading half spectrum is multiplied; the
-    mirrored slices follow from conjugate symmetry.
+    Equals the block-circulant matrix of a times the stacked frontal slices
+    of b, but is computed slice-wise in the DFT domain at FFT cost. Only the
+    leading half spectrum is multiplied; the mirrored slices follow from
+    conjugate symmetry.
     """
     if a.ndim != 3 or b.ndim != 3 or a.shape[1] != b.shape[0] or a.shape[2] != b.shape[2]:
         raise ShapeMismatch(f"cannot multiply tensors of shapes {a.shape} and {b.shape}")
@@ -178,13 +73,6 @@ def conj_transpose(a: Tensor3) -> Tensor3:
     return out
 
 
-def identity_tensor(n: int, n3: int) -> Tensor3:
-    """Multiplicative identity: eye(n) in slice 1, zeros elsewhere."""
-    out = np.zeros((n, n, n3))
-    out[:, :, 0] = np.eye(n)
-    return out
-
-
 def frobenius_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
@@ -195,35 +83,6 @@ def rmse(x: Tensor3, y: Tensor3) -> float:
         raise ShapeMismatch(f"rmse needs equal shapes, got {x.shape} and {y.shape}")
     diff = np.asarray(x, dtype=np.float64) - np.asarray(y, dtype=np.float64)
     return float(np.sqrt((diff**2).sum() / diff.size))
-
-
-def inner(a: Tensor3, b: Tensor3) -> float:
-    """Entrywise inner product <a, b>."""
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"inner product needs equal shapes, got {a.shape} and {b.shape}")
-    return float(np.dot(a.ravel(), b.ravel()))
-
-
-def max_tube_norm(a: Tensor3) -> float:
-    """Largest column norm across the DFT slices, max over (j, k) of ||ahat(:, j, k)||."""
-    ah = np.fft.fft(np.asarray(a, dtype=np.float64), axis=2)
-    col_norms = np.sqrt((np.abs(ah) ** 2).sum(axis=0))
-    return float(col_norms.max()) if col_norms.size else 0.0
-
-
-def is_orthogonal(q: Tensor3, tol: float = 1e-8) -> bool:
-    """True when the lateral slices of q are orthonormal under tprod.
-
-    Checks ||q' * q - I|| <= tol, and the two-sided version when q is
-    square per slice.
-    """
-    n, p, n3 = q.shape
-    qt = conj_transpose(q)
-    if frobenius_norm(tprod(qt, q) - identity_tensor(p, n3)) > tol:
-        return False
-    if n == p and frobenius_norm(tprod(q, qt) - identity_tensor(n, n3)) > tol:
-        return False
-    return True
 
 
 def write_t3b(path, a: Tensor3) -> None:

@@ -55,8 +55,6 @@ class RankOneAtom:
     tensor.
     """
 
-    u: Tensor3
-    v: Tensor3
     tube_norm: float
     atom: Tensor3
 
@@ -259,5 +257,5 @@ def leading_atoms(a: Tensor3, s: int, rel_tol: float = RANK_REL_TOL) -> list[Ran
         v_i = factors.v[:, i:i + 1, :]
         tube = (factors.s[i, i, :] / theta).reshape(1, 1, n3)
         atom = tprod(tprod(u_i, tube), conj_transpose(v_i))
-        atoms.append(RankOneAtom(u=u_i, v=v_i, tube_norm=theta, atom=atom))
+        atoms.append(RankOneAtom(tube_norm=theta, atom=atom))
     return atoms

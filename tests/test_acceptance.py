@@ -10,22 +10,12 @@ import time
 
 import numpy as np
 
+from oracles import bcirc, bdiag, fft3, fold, inner, is_orthogonal, unfold
 from tpursuit import cli, frames
 from tpursuit.errors import NumericalFailure
 from tpursuit.measure import apply, random_mask, sampling_map, write_msk
 from tpursuit.pursuit import PursuitConfig, check_rate, refine, run
-from tpursuit.tensor import (
-    bcirc,
-    bdiag,
-    conj_transpose,
-    fft3,
-    fold,
-    frobenius_norm,
-    inner,
-    is_orthogonal,
-    tprod,
-    unfold,
-)
+from tpursuit.tensor import conj_transpose, frobenius_norm, tprod
 from tpursuit.trip import TripStudyConfig, sample_rank_r_unit, scaling_study
 from tpursuit.tsvd import leading_atoms, tsvd, tubal_rank
 

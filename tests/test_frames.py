@@ -82,6 +82,19 @@ def test_rejects_bad_magic_and_truncation(tmp_path):
         frames.read_pgm(color_as_gray)
 
 
+def test_rejects_samples_above_maxval_and_overlong_numbers(tmp_path):
+    above = tmp_path / "above.pgm"
+    above.write_bytes(b"P5\n2 1\n100\n" + bytes([50, 101]))
+    with pytest.raises(FileFormatError, match="exceeds maxval"):
+        frames.read_pgm(above)
+
+    # int() refuses a decimal string this long with ValueError
+    overlong = tmp_path / "long.pgm"
+    overlong.write_bytes(b"P5 " + b"9" * 5000 + b" 1 255\n" + bytes(9))
+    with pytest.raises(FileFormatError, match="digits"):
+        frames.read_pgm(overlong)
+
+
 def test_write_shape_validation(tmp_path):
     with pytest.raises(ShapeMismatch):
         frames.write_pgm(tmp_path / "x.pgm", np.zeros((2, 2, 2)))

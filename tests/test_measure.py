@@ -86,7 +86,7 @@ def test_apply_on_a_stack_matches_one_tensor_at_a_time():
         for stack in (xs, xs_f):
             got = ms.apply(phi, stack)
             assert got.shape == (6, phi.m)
-            if phi.kind == "sampling":
+            if isinstance(phi, ms.SamplingMap):
                 np.testing.assert_array_equal(got, want)
             else:
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import inner
 from tpursuit import pursuit as pu
 from tpursuit.errors import DivergenceDetected, NumericalFailure, RankOutOfRange
 from tpursuit.measure import (
@@ -17,7 +18,7 @@ from tpursuit.measure import (
     sampling_map,
     whiten,
 )
-from tpursuit.tensor import frobenius_norm, inner
+from tpursuit.tensor import frobenius_norm
 from tpursuit.trip import sample_rank_r_unit
 from tpursuit.tsvd import leading_atoms, tubal_rank
 

@@ -9,17 +9,10 @@ import threading
 import numpy as np
 import pytest
 
+from oracles import fft3, identity_tensor, inner, is_orthogonal
 from tpursuit.tsvd import leading_atoms, truncated_tsvd, tsvd, tubal_rank
 from tpursuit.errors import NumericalFailure, RankOutOfRange
-from tpursuit.tensor import (
-    conj_transpose,
-    fft3,
-    frobenius_norm,
-    identity_tensor,
-    inner,
-    is_orthogonal,
-    tprod,
-)
+from tpursuit.tensor import conj_transpose, frobenius_norm, tprod
 from tpursuit.trip import sample_rank_r_unit
 
 # the package exports the function tsvd under the module's name
