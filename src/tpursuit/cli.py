@@ -139,6 +139,9 @@ def cmd_complete(args) -> int:
 
 def cmd_sense(args) -> int:
     y = read_t3b(args.infile)
+    n = y.size
+    if not 1 <= args.m <= n:
+        raise ValueError(f"--m {args.m} outside [1, N] for N = n1*n2*n3 = {n}")
     observed = _add_noise(y, args.noise_sigma, args.seed)
     make = gaussian_ensemble if args.ensemble == "gaussian" else rademacher_ensemble
     phi = make(args.m, y.shape, seed=int(args.seed))

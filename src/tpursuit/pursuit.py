@@ -127,16 +127,13 @@ class PursuitResult:
     """Outcome of a run.
 
     residual_norms[i] is ||R_{i+1}||, starting at the backprojection norm;
-    bound_curve[i] is the guaranteed envelope tau^i * ||R_1|| with
-    tau = sqrt(1 - 1/min(n1, n2)).
+    check_rate tests it against the guaranteed envelope.
     """
 
     yhat: Tensor3
     residual_norms: np.ndarray
-    bound_curve: np.ndarray
     iterations: int
     converged: bool
-    variant: str
     history: tuple = ()
 
 
@@ -229,16 +226,17 @@ def run(b: np.ndarray, phi: MeasurementMap, cfg: PursuitConfig) -> PursuitResult
     final weights; with the default max_iters it has tubal rank at most r.
     The loop stops after cfg.max_iters iterations (default ceil(r/s)), when
     the residual drops to residual_tol * ||R_1||, or when the residual has
-    no atoms left to peel. Raises ValueError when b holds a non-finite
-    value, and NumericalFailure when the norm of pinv(b) or of a residual
-    is not finite.
+    no atoms left to peel. Raises RankOutOfRange when cfg.r exceeds
+    min(n1, n2), ValueError when b holds a non-finite value, and
+    NumericalFailure when the norm of pinv(b) or of a residual is not
+    finite.
     """
     b = np.asarray(b, dtype=np.float64).ravel()
     if not np.all(np.isfinite(b)):
         raise ValueError("measurements must be finite")
     n1, n2, n3 = phi.dims
-    if cfg.s > min(n1, n2):
-        raise RankOutOfRange(f"batch size {cfg.s} exceeds min(n1, n2) = {min(n1, n2)}")
+    if cfg.r > min(n1, n2):
+        raise RankOutOfRange(f"target rank {cfg.r} exceeds min(n1, n2) = {min(n1, n2)}")
     r0 = pinv_apply(phi, b)
     r0_norm = frobenius_norm(r0)
     if not math.isfinite(r0_norm):
@@ -277,11 +275,9 @@ def run(b: np.ndarray, phi: MeasurementMap, cfg: PursuitConfig) -> PursuitResult
     yhat = np.zeros(phi.dims)
     for c, at in zip(state.coeffs, state.atoms):
         yhat += c * at.atom
-    norms = np.asarray(state.residual_norms)
-    bound = r0_norm * _decay_factor(phi.dims) ** np.arange(norms.size)
-    return PursuitResult(yhat=yhat, residual_norms=norms, bound_curve=bound,
+    return PursuitResult(yhat=yhat, residual_norms=np.asarray(state.residual_norms),
                          iterations=state.k - 1, converged=bool(converged),
-                         variant=cfg.variant, history=tuple(state.history))
+                         history=tuple(state.history))
 
 
 class _RowFit:

@@ -1,22 +1,22 @@
 """Tensor singular value decomposition and its rank-one building blocks.
 
-Both decompositions factor only the leading ``n3 // 2 + 1`` DFT slices; the
+The decomposition factors only the leading ``n3 // 2 + 1`` DFT slices; the
 remaining slices are conjugate mirrors, so the inverse transform returns
-real factors. The full decomposition runs one complex SVD per slice. The
-truncated one keeps k triplets per slice, so it takes the k leading
-eigenvectors of each slice's Gram matrix on its smaller side and runs a
-thin SVD of the slice times those vectors; its slices are split across the
-CPUs the process may run on. Each left singular vector is rotated so that
-its largest-magnitude entry is real and nonnegative, which pins the
-per-slice phase and makes the factors deterministic.
+real factors. To keep k triplets of a slice it takes the k leading
+eigenvectors of the slice's Gram matrix on its smaller side and runs a thin
+SVD of the slice times those vectors. At k = min(n1, n2) the eigenvectors
+form a unitary basis, so the same path gives the full decomposition. The
+slices are split across the CPUs the process may run on. Each left
+singular vector is rotated so that its largest-magnitude entry is real and
+nonnegative, which pins the per-slice phase and makes the factors
+deterministic.
 """
 
 from __future__ import annotations
 
 import contextvars
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,12 +59,6 @@ class RankOneAtom:
     atom: Tensor3
 
 
-def _half_spectrum(a: Tensor3) -> np.ndarray:
-    """Leading DFT slices of a as a C-ordered (n3 // 2 + 1, n1, n2) stack."""
-    ah = np.fft.rfft(np.asarray(a, dtype=np.float64), axis=2)
-    return np.ascontiguousarray(ah.transpose(2, 0, 1))
-
-
 def _fix_phase(u, vh):
     # rotate each (u column, vh row) pair so the largest-|.| entry of u,
     # first on ties, lands on the nonnegative real axis
@@ -75,29 +69,11 @@ def _fix_phase(u, vh):
     return u * phase.conj()[:, None, :], vh * phase[:, :, None]
 
 
-def _half_spectrum_svd(a: Tensor3, compute_uv: bool = True):
-    """SVD of each leading DFT slice with the deterministic phase fix."""
-    stack = _half_spectrum(a)
-    try:
-        if not compute_uv:
-            return np.linalg.svd(stack, compute_uv=False)
-        u, sig, vh = np.linalg.svd(stack, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure("slice SVD did not converge") from exc
-    u, vh = _fix_phase(u, vh)
-    return u, sig, vh
-
-
-# The slices of a truncated decomposition are split into contiguous chunks,
-# one per CPU in the process's affinity mask. The calling thread factors the
-# first chunk and a pool shared by the whole process the others; numpy's
-# LAPACK and BLAS calls release the interpreter lock. Every slice gets the
-# same LAPACK calls however the stack is split, so the factors do not depend
-# on the worker count. The pool is created on first use, not at import.
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
-
-
+# The slices are split into contiguous chunks, one per CPU in the process's
+# affinity mask. The calling thread factors the first chunk and a pool that
+# lives for the one call the others; numpy's LAPACK and BLAS calls release
+# the interpreter lock. Every slice gets the same LAPACK calls however the
+# stack is split, so the factors do not depend on the worker count.
 def _worker_count() -> int:
     """CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -105,38 +81,20 @@ def _worker_count() -> int:
     return os.cpu_count() or 1
 
 
-def _forget_pool() -> None:
-    # a forked child inherits the pool's bookkeeping but none of its
-    # threads, so work submitted to it would never run
-    global _pool, _pool_lock
-    _pool = None
-    _pool_lock = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
 def _over_slices(fn, stack: np.ndarray, *args):
     """fn(chunk, *args) on contiguous chunks of the stack, run concurrently;
     the arrays fn returns are joined back along the slice axis."""
-    global _pool
     chunks = np.array_split(stack, min(_worker_count(), len(stack)))
     if len(chunks) == 1:
         return fn(stack, *args)
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max_workers=max(1, _worker_count() - 1),
-                                       thread_name_prefix="tpursuit-tsvd")
-        pool = _pool
     # each chunk runs in a copy of the caller's context, so numpy's error
-    # state (np.errstate) applies in the pool's threads too
-    futures = [pool.submit(contextvars.copy_context().run, fn, chunk, *args)
-               for chunk in chunks[1:]]
-    try:
+    # state (np.errstate) applies in the workers too; leaving the block
+    # joins every worker, also when the first chunk raises
+    with ThreadPoolExecutor(max_workers=len(chunks) - 1,
+                            thread_name_prefix="tpursuit-tsvd") as pool:
+        futures = [pool.submit(contextvars.copy_context().run, fn, chunk, *args)
+                   for chunk in chunks[1:]]
         parts = [fn(chunks[0], *args)]
-    finally:
-        wait(futures)
     parts += [f.result() for f in futures]
     return tuple(np.concatenate(outs) for outs in zip(*parts))
 
@@ -156,33 +114,13 @@ def _leading_triplets(stack: np.ndarray, k: int):
     return u, np.ldexp(sig, exp[:, None]), zh @ v.conj().transpose(0, 2, 1)
 
 
-def _half_spectrum_leading(a: Tensor3, k: int):
-    """k leading triplets of each leading DFT slice with the phase fix."""
-    stack = _half_spectrum(a)
-    wide = stack.shape[1] < stack.shape[2]
-    if wide:
-        # factor the conjugate transpose so the Gram is on the smaller side
-        stack = np.ascontiguousarray(stack.conj().transpose(0, 2, 1))
-    try:
-        u, sig, vh = _over_slices(_leading_triplets, stack, k)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure("slice eigendecomposition did not converge") from exc
-    if wide:
-        u, vh = vh.conj().transpose(0, 2, 1), u.conj().transpose(0, 2, 1)
-    u, vh = _fix_phase(u, vh)
-    return u, sig, vh
-
-
-def _assemble(u, sig, vh, n3: int, width: int) -> TSVDFactors:
-    """Inverse-transform half-spectrum factors, truncated to the given width."""
-    uw = u[:, :, :width]
-    vhw = vh[:, :width, :]
-    sw = sig[:, :width]
-    u_t = np.fft.irfft(uw.transpose(1, 2, 0), n=n3, axis=2)
-    v_t = np.fft.irfft(vhw.conj().transpose(2, 1, 0), n=n3, axis=2)
-    s_t = np.zeros((width, width, n3))
-    tubes = np.fft.irfft(sw.T, n=n3, axis=1)
-    s_t[np.arange(width), np.arange(width), :] = tubes
+def _assemble(u, sig, vh, n3: int) -> TSVDFactors:
+    """Inverse-transform half-spectrum factors."""
+    k = sig.shape[1]
+    u_t = np.fft.irfft(u.transpose(1, 2, 0), n=n3, axis=2)
+    v_t = np.fft.irfft(vh.conj().transpose(2, 1, 0), n=n3, axis=2)
+    s_t = np.zeros((k, k, n3))
+    s_t[np.arange(k), np.arange(k), :] = np.fft.irfft(sig.T, n=n3, axis=1)
     return TSVDFactors(u=u_t, s=s_t, v=v_t)
 
 
@@ -192,9 +130,7 @@ def tsvd(a: Tensor3) -> TSVDFactors:
     u and v have orthonormal lateral slices, s is f-diagonal with the
     diagonal of every DFT slice real, nonnegative and sorted descending.
     """
-    n1, n2, n3 = a.shape
-    u, sig, vh = _half_spectrum_svd(a)
-    return _assemble(u, sig, vh, n3, min(n1, n2))
+    return truncated_tsvd(a, min(a.shape[0], a.shape[1]))
 
 
 def truncated_tsvd(a: Tensor3, k: int) -> TSVDFactors:
@@ -211,24 +147,25 @@ def truncated_tsvd(a: Tensor3, k: int) -> TSVDFactors:
     n1, n2, n3 = a.shape
     if not 1 <= k <= min(n1, n2):
         raise RankOutOfRange(f"truncation width {k} outside [1, {min(n1, n2)}]")
-    u, sig, vh = _half_spectrum_leading(a, k)
-    return _assemble(u, sig, vh, n3, k)
-
-
-def _tube_norms_from_half(sig: np.ndarray, n3: int) -> np.ndarray:
-    # Parseval with conjugate symmetry: interior half-spectrum slices count twice
-    weights = np.full(sig.shape[0], 2.0)
-    weights[0] = 1.0
-    if n3 % 2 == 0:
-        weights[-1] = 1.0
-    return np.sqrt((weights[:, None] * sig**2).sum(axis=0) / n3)
+    stack = np.fft.rfft(np.asarray(a, dtype=np.float64), axis=2).transpose(2, 0, 1)
+    wide = n1 < n2
+    if wide:
+        # factor the conjugate transpose so the Gram is on the smaller side
+        stack = stack.conj().transpose(0, 2, 1)
+    try:
+        u, sig, vh = _over_slices(_leading_triplets, np.ascontiguousarray(stack), k)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure("slice factorization did not converge") from exc
+    if wide:
+        u, vh = vh.conj().transpose(0, 2, 1), u.conj().transpose(0, 2, 1)
+    u, vh = _fix_phase(u, vh)
+    return _assemble(u, sig, vh, n3)
 
 
 def tubal_rank(a: Tensor3, rel_tol: float = RANK_REL_TOL) -> int:
     """Number of singular tubes with norm above rel_tol times the leading one."""
-    sig = _half_spectrum_svd(a, compute_uv=False)
-    tubes = _tube_norms_from_half(sig, a.shape[2])
-    if tubes.size == 0 or tubes[0] <= 0.0:
+    tubes = tsvd(a).tube_norms()
+    if tubes[0] <= 0.0:
         return 0
     return int((tubes > rel_tol * tubes[0]).sum())
 

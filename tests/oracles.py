@@ -1,4 +1,4 @@
-"""Reference forms of the tensor product, for tests only.
+"""Reference forms of the tensor product and the t-SVD, for tests only.
 
 The block-circulant and block-diagonal matrices of Kilmer & Martin,
 "Factorization strategies for third-order tensors" (Linear Algebra Appl.,
@@ -95,6 +95,36 @@ def inner(a: Tensor3, b: Tensor3) -> float:
     if a.shape != b.shape:
         raise ShapeMismatch(f"inner product needs equal shapes, got {a.shape} and {b.shape}")
     return float(np.dot(a.ravel(), b.ravel()))
+
+
+def slice_svd_tsvd(a: Tensor3, k: int):
+    """Leading k tubes of the t-SVD, as (u, s, v), from a full SVD of every
+    DFT slice.
+
+    Slices past n3 // 2 are the conjugates of their mirrors, so the factors
+    transform back to real tensors. Each left singular vector is rotated so
+    that its largest-magnitude entry, the first on ties, is real and
+    nonnegative, the phase convention of ``tpursuit.tsvd``.
+    """
+    n1, n2, n3 = a.shape
+    ah = np.fft.fft(np.asarray(a, dtype=np.float64), axis=2)
+    uh = np.zeros((n1, k, n3), dtype=np.complex128)
+    sh = np.zeros((k, k, n3), dtype=np.complex128)
+    vh = np.zeros((n2, k, n3), dtype=np.complex128)
+    for t in range(n3 // 2 + 1):
+        u, sig, wh = np.linalg.svd(ah[:, :, t], full_matrices=False)
+        for j in range(k):
+            lead = u[np.argmax(np.abs(u[:, j])), j]
+            phase = lead / abs(lead) if abs(lead) > 0 else 1.0
+            u[:, j] *= np.conj(phase)
+            wh[j, :] *= phase
+        uh[:, :, t] = u[:, :k]
+        sh[:, :, t] = np.diag(sig[:k])
+        vh[:, :, t] = wh[:k, :].conj().T
+    for t in range(n3 // 2 + 1, n3):
+        for fh in (uh, sh, vh):
+            fh[:, :, t] = fh[:, :, n3 - t].conj()
+    return tuple(np.fft.ifft(fh, axis=2).real for fh in (uh, sh, vh))
 
 
 def is_orthogonal(q: Tensor3, tol: float = 1e-8) -> bool:

@@ -146,7 +146,8 @@ def test_residual_decrease_and_rate_envelope():
         n3 = int(rng.integers(2, 9))
         dims = (n1, n2, n3)
         s = int(rng.integers(1, 4))
-        r = int(rng.integers(s, 7))
+        # run rejects r above min(n1, n2); clamping keeps the draws unchanged
+        r = min(int(rng.integers(s, 7)), n1, n2)
         rank = int(rng.integers(1, min(5, min(n1, n2)) + 1))
         missing = float(rng.uniform(0.1, 0.7))  # 30..90 percent observed
         variant = "standard" if runs % 2 == 0 else "economic"

@@ -231,6 +231,27 @@ def test_sense_square_gaussian_recovers(tmp_path, capsys):
     assert record["m"] == 75
 
 
+def test_pursuit_rank_above_min_n1_n2(tmp_path, capsys):
+    src, _ = synth(tmp_path, capsys, dims="8x8x4", rank=2)
+    out = tmp_path / "r.t3b"
+    for flags in (["complete", "--missing", 0.5], ["sense", "--m", 200]):
+        code, _ = run_cli([*flags, "--in", src, "--out", out, "--rank", 9], capsys)
+        assert code == cli.EXIT_USAGE
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("m", [-3, 0, 257, 300])
+def test_sense_m_outside_one_to_n(tmp_path, capsys, m):
+    src, _ = synth(tmp_path, capsys, dims="8x8x4", rank=2)
+    out = tmp_path / "r.t3b"
+    code = cli.main(["sense", "--in", str(src), "--out", str(out), "--rank", "2",
+                     "--m", str(m)])
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"--m {m} outside [1, N]" in err and "256" in err
+    assert not out.exists()
+
+
 def test_sense_rademacher_deterministic(tmp_path, capsys):
     src, _ = synth(tmp_path, capsys, dims="4x4x2", rank=1)
     blobs = []

@@ -155,20 +155,16 @@ def test_check_rate_flags_violations():
     fake = pu.PursuitResult(
         yhat=np.zeros((4, 4, 2)),
         residual_norms=np.array([1.0, 0.99]),
-        bound_curve=np.array([1.0, np.sqrt(0.75)]),
         iterations=1,
         converged=False,
-        variant="standard",
     )
     # sqrt(1 - 1/4) ~ 0.866 < 0.99, so the envelope is broken
     assert not pu.check_rate(fake, 1.0)
     ok = pu.PursuitResult(
         yhat=np.zeros((4, 4, 2)),
         residual_norms=np.array([1.0, 0.5]),
-        bound_curve=np.array([1.0, np.sqrt(0.75)]),
         iterations=1,
         converged=False,
-        variant="standard",
     )
     assert pu.check_rate(ok, 1.0)
 
@@ -221,6 +217,17 @@ def test_run_rejects_oversized_batch():
     phi = full_map((3, 4, 2))
     with pytest.raises(RankOutOfRange):
         pu.run(np.zeros(phi.m), phi, pu.PursuitConfig(r=5, s=5))
+
+
+def test_run_rejects_a_rank_above_min_n1_n2():
+    for phi in (full_map((8, 8, 4)), gaussian_ensemble(200, (8, 8, 4), seed=3)):
+        with pytest.raises(RankOutOfRange):
+            pu.run(np.ones(phi.m), phi, pu.PursuitConfig(r=9))
+    # the limit is the smaller of n1 and n2
+    phi = full_map((3, 6, 2))
+    with pytest.raises(RankOutOfRange):
+        pu.run(np.ones(phi.m), phi, pu.PursuitConfig(r=4))
+    assert pu.run(np.ones(phi.m), phi, pu.PursuitConfig(r=3)).iterations <= 3
 
 
 def test_run_rejects_non_finite_measurements():

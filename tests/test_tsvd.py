@@ -9,7 +9,7 @@ import threading
 import numpy as np
 import pytest
 
-from oracles import fft3, identity_tensor, inner, is_orthogonal
+from oracles import fft3, identity_tensor, inner, is_orthogonal, slice_svd_tsvd
 from tpursuit.tsvd import leading_atoms, truncated_tsvd, tsvd, tubal_rank
 from tpursuit.errors import NumericalFailure, RankOutOfRange
 from tpursuit.tensor import conj_transpose, frobenius_norm, tprod
@@ -94,10 +94,9 @@ def test_truncation_error_monotone():
 
 
 def leading_of_full(a, k):
-    """The first k tubes of the full-SVD decomposition, the reference for
-    truncated_tsvd."""
-    f = tsvd(a)
-    return f.u[:, :k, :], f.s[:k, :k, :], f.v[:, :k, :]
+    """The first k tubes of the decomposition from a full SVD of every DFT
+    slice, an independent reference for truncated_tsvd."""
+    return slice_svd_tsvd(a, k)
 
 
 # n1 < n2 and n1 > n2, odd and even n3, n3 = 1 and 2
@@ -184,7 +183,6 @@ def test_concurrent_callers_get_the_serial_result(monkeypatch):
     monkeypatch.setattr(tsvd_module, "_worker_count", lambda: 1)
     expected = [truncated_tsvd(a, 2) for a in inputs]
     monkeypatch.setattr(tsvd_module, "_worker_count", lambda: 4)
-    monkeypatch.setattr(tsvd_module, "_pool", None)
     results = [None] * len(inputs)
 
     def call(i):
@@ -201,13 +199,18 @@ def test_concurrent_callers_get_the_serial_result(monkeypatch):
             t.join(timeout=60)
     finally:
         sys.setswitchinterval(old_interval)
-        if tsvd_module._pool is not None:
-            tsvd_module._pool.shutdown(wait=False)
     assert not any(t.is_alive() for t in callers)
     for got, want in zip(results, expected):
         np.testing.assert_array_equal(got.u, want.u)
         np.testing.assert_array_equal(got.s, want.s)
         np.testing.assert_array_equal(got.v, want.v)
+
+
+def test_no_worker_thread_outlives_the_call(monkeypatch):
+    monkeypatch.setattr(tsvd_module, "_worker_count", lambda: 3)
+    truncated_tsvd(np.random.default_rng(221).standard_normal((8, 8, 8)), 2)
+    workers = [t.name for t in threading.enumerate() if t.name.startswith("tpursuit")]
+    assert workers == []
 
 
 def _factor_and_exit():
