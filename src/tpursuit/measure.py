@@ -30,11 +30,14 @@ DENSE_ENTRY_LIMIT = 2**24
 
 
 def _vec(x: np.ndarray) -> np.ndarray:
+    # a free view when x is Fortran ordered
     return np.asarray(x, dtype=np.float64).ravel(order="F")
 
 
 def _unvec(v: np.ndarray, dims) -> Tensor3:
-    return np.ascontiguousarray(v.reshape(dims, order="F"))
+    # the Fortran-ordered view of v, in storage order like every tensor the
+    # pursuit builds
+    return v.reshape(dims, order="F")
 
 
 @dataclass(frozen=True)
@@ -72,8 +75,9 @@ class SamplingMap:
         self.n = self.dims[0] * self.dims[1] * self.dims[2]
 
     def measure(self, v: np.ndarray) -> np.ndarray:
-        # fancy indexing returns a new array, one row per row of v
-        return v[..., self.mask.indices]
+        # a new array, one row per row of v; np.take gathers a stack of rows
+        # several times faster than fancy indexing
+        return np.take(v, self.mask.indices, axis=-1)
 
     def preimage(self, b: np.ndarray) -> np.ndarray:
         v = np.zeros(self.n)
@@ -203,7 +207,8 @@ def apply(phi: MeasurementMap, x: Tensor3) -> np.ndarray:
 
 
 def pinv_apply(phi: MeasurementMap, b: np.ndarray) -> Tensor3:
-    """Minimum-norm preimage of a measurement vector.
+    """Minimum-norm preimage of a measurement vector, a Fortran-ordered
+    tensor (its memory is the storage-order vectorization).
 
     Sampling maps scatter b back into a zero tensor. Dense maps solve with
     the cached Cholesky factor of phi phi', raising RankDeficientMap when

@@ -14,7 +14,10 @@ J. Sci. Comput., 2015); they differ only in their columns:
   the new batch.
 
 The loop works in measurement space: the fit is phi(yhat) and the
-residual is pinv(b - fit); yhat itself is summed once, at the end.
+residual is pinv(b - fit); yhat itself is summed once, at the end. The
+standard refit keeps a thin QR factorization of its whitened columns and
+grows it by each batch, so an iteration costs O(m k s) on top of the slice
+factorization instead of refactoring the m x k block.
 
 Both make the residual norm nonincreasing, and the decay is bounded by
 ``sqrt(1 - 1/min(n1, n2))`` per iteration regardless of the measurement
@@ -97,15 +100,92 @@ class IterationRecord:
     leading_inner: float
 
 
+class ThinQR:
+    """Thin QR factorization W = Q R of whitened measured columns, grown a
+    batch of columns at a time, with Q' wb kept alongside.
+
+    Q' is stored as contiguous rows of an array that doubles when full, so
+    adding s columns to k costs O(m k s) and the m x k block W itself is
+    never kept or refactored.
+    """
+
+    def __init__(self, wb: np.ndarray, capacity: int):
+        self.wb = wb
+        self._qt = np.empty((capacity, wb.size))
+        self.r = np.zeros((0, 0))
+        self.qtb = np.zeros(0)
+
+    @property
+    def qt(self) -> np.ndarray:
+        """Q' as a k x m array."""
+        return self._qt[:self.r.shape[0]]
+
+    def append(self, wcols: np.ndarray) -> None:
+        """Add the columns of an m x s block."""
+        k, s = self.r.shape[0], wcols.shape[1]
+        if k + s > len(self._qt):
+            grown = np.empty((max(2 * len(self._qt), k + s), self.wb.size))
+            grown[:k] = self._qt[:k]
+            self._qt = grown
+        new = self._qt[k:k + s]
+        new[...] = wcols.T
+        r = np.zeros((k + s, k + s))
+        r[:k, :k] = self.r
+        for j in range(k, k + s):
+            r[:j + 1, j] = self._orthogonalize(self._qt[:j], self._qt[j])
+        self.r = r
+        self.qtb = np.concatenate([self.qtb, new @ self.wb])
+
+    @staticmethod
+    def _orthogonalize(qt: np.ndarray, row: np.ndarray) -> np.ndarray:
+        """Orthonormalize row against the rows of qt in place; returns its
+        coefficients: the projections onto qt, then the new diagonal.
+
+        Classical Gram-Schmidt run twice, which leaves the row orthogonal
+        to qt to rounding (Giraud, Langou & Rozloznik, "twice is enough",
+        2005). A row that the second pass halves again held only rounding
+        left over from qt's span, such as a zero row or any row once qt
+        spans all of R^m; it is set to zero with a zero diagonal, which the
+        solve's cutoff drops, and later rows then ignore it.
+        """
+        coef = np.zeros(len(qt) + 1)
+        h = qt @ row
+        row -= h @ qt
+        first = np.linalg.norm(row)
+        coef[:-1] = h
+        h = qt @ row
+        row -= h @ qt
+        second = np.linalg.norm(row)
+        coef[:-1] += h
+        if second > 0.5 * first:
+            row /= second
+            coef[-1] = second
+        else:
+            row[...] = 0.0
+        return coef
+
+    def solve(self) -> tuple[np.ndarray, np.ndarray]:
+        """Minimum-norm w for min over w of || W w - wb ||, and the fit W w.
+
+        The k x k solve cuts singular values at eps * max(m, k) relative to
+        the largest, the cutoff lstsq applies to the m x k block W, so both
+        drop the same directions.
+        """
+        m, k = self.wb.size, self.r.shape[0]
+        w = np.linalg.lstsq(self.r, self.qtb, rcond=np.finfo(np.float64).eps * max(m, k))[0]
+        return w, self.qt.T @ (self.r @ w)
+
+
 @dataclass
 class PursuitState:
     """Mutable loop state, kept in measurement space.
 
     fit is phi(yhat) for yhat = sum of coeffs[i] * atoms[i], wfit its
-    whitened image, and residual is pinv(b - fit). columns holds phi of every
-    collected atom and wcolumns their whitened images; only the standard
-    refit reads them. For sampling maps whitening is the identity, and
-    wfit and wcolumns are the same arrays as fit and columns.
+    whitened image, and residual is pinv(b - fit). factor is the thin QR of
+    the whitened images of every collected atom, which only the standard
+    refit reads. For sampling maps whitening is the identity, so fit and
+    wfit are the same array; dense maps keep the measured images of the
+    atoms in columns, from which the standard refit forms fit.
     """
 
     config: PursuitConfig
@@ -115,8 +195,8 @@ class PursuitState:
     k: int = 1
     atoms: list = field(default_factory=list)
     coeffs: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    factor: ThinQR | None = None
     columns: np.ndarray | None = None
-    wcolumns: np.ndarray | None = None
     residual_norms: list = field(default_factory=list)
     history: list = field(default_factory=list)
     iter_started_at: float = 0.0
@@ -141,38 +221,42 @@ def _decay_factor(dims) -> float:
     return math.sqrt(1.0 - 1.0 / min(dims[0], dims[1]))
 
 
-def _min_norm_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.linalg.lstsq(a, b, rcond=None)[0]
-
-
 def measured_columns(phi: MeasurementMap, atoms) -> np.ndarray:
-    """Stack phi(atom) column vectors into an m x len(atoms) matrix."""
-    return np.column_stack([apply(phi, at.atom) for at in atoms])
+    """phi(atom) of each atom as the columns of an m x len(atoms) array,
+    Fortran ordered, so its transpose holds one atom per contiguous row."""
+    return np.stack([apply(phi, at.atom) for at in atoms]).T
 
 
-def solve_weights_full(wcolumns: np.ndarray, wb: np.ndarray) -> np.ndarray:
-    """Minimum-norm weights for min over theta of || wcolumns @ theta - wb ||.
+def solve_weights_full(factor: ThinQR, wcols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Append whitened atom images to the factor, then refit over all of them.
 
-    With wcolumns the whitened images of the atoms and wb = whiten(phi, b)
-    this minimizes || sum_i theta_i pinv(phi(atom_i)) - pinv(b) ||_F,
-    solved by orthogonal factorization rather than normal equations.
+    With the factor's columns the whitened images of the atoms and its wb
+    = whiten(phi, b), the weights minimize
+    || sum_i theta_i pinv(phi(atom_i)) - pinv(b) ||_F; they are solved by
+    orthogonal factorization rather than normal equations. Returns the
+    minimum-norm weights and the whitened fit.
     """
-    return _min_norm_lstsq(wcolumns, wb)
+    factor.append(wcols)
+    return factor.solve()
 
 
-def solve_weights_economic(wcolumns: np.ndarray, wb: np.ndarray) -> np.ndarray:
-    """The least squares of solve_weights_full over the economic block
-    [whiten(phi(yhat_prev)), whitened new atom images].
+def solve_weights_economic(wfit: np.ndarray, wcols: np.ndarray,
+                           wb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The refit of solve_weights_full over the economic block
+    [wfit, wcols]: the whitened previous fit and the new atom images.
 
-    Column 0 is scaled to unit norm for the solve and its weight scaled
+    Column 0 is scaled to unit norm in a fresh factor and its weight scaled
     back. Its norm tracks ||b|| while the atom columns have norm at most 1,
     so unscaled the block's condition number would grow with the scale of
-    b and lstsq's cutoff would drop a direction. A zero column 0 (before
+    b and the rank cutoff would drop a direction. A zero column 0 (before
     the first atom) is left as it is.
     """
-    scale = np.ones(wcolumns.shape[1])
-    scale[0] = np.linalg.norm(wcolumns[:, 0]) or 1.0
-    return _min_norm_lstsq(wcolumns / scale, wb) / scale
+    scale = np.linalg.norm(wfit) or 1.0
+    factor = ThinQR(wb, 1 + wcols.shape[1])
+    factor.append(np.column_stack([wfit / scale, wcols]))
+    weights, fit = factor.solve()
+    weights[0] /= scale
+    return weights, fit
 
 
 def update_residual(state: PursuitState, phi: MeasurementMap, b: np.ndarray, atoms,
@@ -241,11 +325,10 @@ def run(b: np.ndarray, phi: MeasurementMap, cfg: PursuitConfig) -> PursuitResult
     r0_norm = frobenius_norm(r0)
     if not math.isfinite(r0_norm):
         raise NumericalFailure(f"backprojection norm is {r0_norm}; the measurements overflow")
-    fit = np.zeros(phi.m)
-    empty = np.zeros((phi.m, 0))
-    state = PursuitState(config=cfg, residual=r0, fit=fit, wfit=fit,
-                         columns=empty, wcolumns=empty, residual_norms=[r0_norm])
     wb = whiten(phi, b)
+    fit = np.zeros(phi.m)
+    state = PursuitState(config=cfg, residual=r0, fit=fit, wfit=fit, residual_norms=[r0_norm],
+                         factor=ThinQR(wb, cfg.r), columns=np.zeros((phi.m, 0)))
     converged = r0_norm <= cfg.residual_tol * r0_norm
     while state.k <= cfg.iterations_limit and not converged:
         state.iter_started_at = time.perf_counter()
@@ -256,23 +339,24 @@ def run(b: np.ndarray, phi: MeasurementMap, cfg: PursuitConfig) -> PursuitResult
             break
         cols = measured_columns(phi, atoms)
         wcols = whiten(phi, cols)
-        # whitening is the identity for sampling maps: keep one copy
         if cfg.variant == "standard":
-            state.columns = np.hstack([state.columns, cols])
-            state.wcolumns = (state.columns if wcols is cols
-                              else np.hstack([state.wcolumns, wcols]))
-            columns, wcolumns = state.columns, state.wcolumns
-            weights = coeffs = solve_weights_full(wcolumns, wb)
+            weights, wfit = solve_weights_full(state.factor, wcols)
+            coeffs = weights
         else:
-            columns = np.column_stack([state.fit, cols])
-            wcolumns = columns if wcols is cols else np.column_stack([state.wfit, wcols])
-            weights = solve_weights_economic(wcolumns, wb)
+            weights, wfit = solve_weights_economic(state.wfit, wcols, wb)
             coeffs = np.concatenate([weights[0] * state.coeffs, weights[1:]])
-        fit = columns @ weights
-        wfit = fit if wcolumns is columns else wcolumns @ weights
+        if wcols is cols:
+            # whitening is the identity for sampling maps
+            fit = wfit
+        elif cfg.variant == "standard":
+            state.columns = np.hstack([state.columns, cols])
+            fit = state.columns @ weights
+        else:
+            fit = weights[0] * state.fit + cols @ weights[1:]
         update_residual(state, phi, b, atoms, coeffs, fit, wfit)
         converged = state.residual_norms[-1] <= cfg.residual_tol * r0_norm
-    yhat = np.zeros(phi.dims)
+    # atoms are Fortran ordered, so the sum runs in storage order
+    yhat = np.zeros(phi.dims, order="F")
     for c, at in zip(state.coeffs, state.atoms):
         yhat += c * at.atom
     return PursuitResult(yhat=yhat, residual_norms=np.asarray(state.residual_norms),

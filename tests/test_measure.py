@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 
 from tpursuit import measure as ms
+from tpursuit.tsvd import leading_atoms
 from tpursuit.errors import (
     EmptyMask,
     FileFormatError,
@@ -285,3 +286,18 @@ def test_whiten_preserves_projected_inner_products():
             )
             rhs = float(np.dot(ms.whiten(phi, u), ms.whiten(phi, v)))
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
+
+
+def test_preimages_and_atoms_stay_in_storage_order():
+    # the pursuit's residuals and atoms are Fortran ordered, so vectorizing
+    # an atom for apply is a view and not a copy
+    dims = (6, 5, 4)
+    rng = np.random.default_rng(330)
+    phi = ms.sampling_map(ms.random_mask(dims, 0.5, seed=330))
+    residual = ms.pinv_apply(phi, rng.standard_normal(phi.m))
+    assert residual.shape == dims and residual.flags.f_contiguous
+    atoms = leading_atoms(residual, 3)
+    assert len(atoms) == 3
+    for at in atoms:
+        assert at.atom.shape == dims and at.atom.flags.f_contiguous
+        assert np.shares_memory(ms._vec(at.atom), at.atom)

@@ -47,7 +47,7 @@ def test_solve_weights_full_matches_dense_oracle():
         r0 = pinv_apply(phi, b)
         atoms = leading_atoms(r0, 3)
         wcolumns = whiten(phi, pu.measured_columns(phi, atoms))
-        theta = pu.solve_weights_full(wcolumns, whiten(phi, b))
+        theta, _ = pu.solve_weights_full(pu.ThinQR(whiten(phi, b), 3), wcolumns)
         cols = np.column_stack(
             [pinv_apply(phi, apply(phi, at.atom)).ravel() for at in atoms]
         )
@@ -58,6 +58,53 @@ def test_solve_weights_full_matches_dense_oracle():
         np.testing.assert_allclose(theta, oracle, atol=1e-8)
 
 
+def refit_columns(phi, seed):
+    """Whitened images of six atoms, two per batch; column 4 is a
+    combination of columns 0-3 up to a relative 1e-14."""
+    rng = np.random.default_rng(seed)
+    atoms = leading_atoms(rng.standard_normal(phi.dims), 6)
+    wcols = whiten(phi, pu.measured_columns(phi, atoms))
+    dep = wcols[:, :4] @ rng.standard_normal(4)
+    noise = rng.standard_normal(phi.m)
+    wcols[:, 4] = dep + 1e-14 * np.linalg.norm(dep) * noise / np.linalg.norm(noise)
+    return wcols, whiten(phi, apply(phi, rng.standard_normal(phi.dims)))
+
+
+def assert_matches_lstsq(weights, wfit, block, wb):
+    # lstsq's default cutoff eps * max(m, k) drops the nearly dependent
+    # direction at m >= 576; a k x k solve at numpy's default eps * k would
+    # keep it and return weights of order 1e14
+    want = np.linalg.lstsq(block, wb, rcond=None)[0]
+    assert np.linalg.norm(weights - want) <= 1e-10 * np.linalg.norm(want)
+    assert np.linalg.norm(wfit - block @ want) <= 1e-10 * np.linalg.norm(block @ want)
+
+
+@pytest.mark.parametrize("kind", ["sampling", "gaussian"])
+def test_incremental_refit_matches_lstsq_on_the_whole_block(kind):
+    phi = (sampling_map(random_mask((12, 12, 8), 0.5, seed=31)) if kind == "sampling"
+           else gaussian_ensemble(600, (10, 10, 8), seed=31))
+    assert phi.m >= 576
+    wcols, wb = refit_columns(phi, 32)
+    factor = pu.ThinQR(wb, 2)
+    for k in (2, 4, 6):
+        weights, wfit = pu.solve_weights_full(factor, wcols[:, k - 2:k])
+        assert_matches_lstsq(weights, wfit, wcols[:, :k], wb)
+    # the economic block [previous fit, new batch] with its first column at
+    # unit norm; the last column is nearly the fit plus the first new one
+    wfit = np.zeros(phi.m)
+    unit = wcols[:, 5] / np.linalg.norm(wcols[:, 5])
+    for k in (2, 4, 6):
+        batch = wcols[:, k - 2:k].copy()
+        if k == 6:
+            batch[:, 1] = wfit + batch[:, 0] + 1e-14 * np.linalg.norm(wfit) * unit
+        scale = np.linalg.norm(wfit) or 1.0
+        block = np.column_stack([wfit / scale, batch])
+        weights, new_fit = pu.solve_weights_economic(wfit, batch, wb)
+        weights[0] *= scale
+        assert_matches_lstsq(weights, new_fit, block, wb)
+        wfit = new_fit
+
+
 def test_single_atom_weight_under_full_observation():
     rng = np.random.default_rng(402)
     dims = (4, 4, 3)
@@ -65,7 +112,7 @@ def test_single_atom_weight_under_full_observation():
     y = rng.standard_normal(dims)
     b = apply(phi, y)
     atoms = leading_atoms(y, 1)
-    theta = pu.solve_weights_full(pu.measured_columns(phi, atoms), b)
+    theta, _ = pu.solve_weights_full(pu.ThinQR(b, 1), pu.measured_columns(phi, atoms))
     # unit atom, identity map: optimal weight is the plain inner product
     assert abs(theta[0] - inner(atoms[0].atom, y)) <= 1e-10 * abs(theta[0])
     assert abs(theta[0] - atoms[0].tube_norm) <= 1e-8 * abs(theta[0])
@@ -101,9 +148,11 @@ def test_full_refit_never_loses_to_running_rescale():
             if not atoms:
                 break
             block = np.column_stack([fit, pu.measured_columns(phi, atoms)])
-            alpha = pu.solve_weights_economic(whiten(phi, block), wb)
+            wblock = whiten(phi, block)
+            alpha, _ = pu.solve_weights_economic(wblock[:, 0], wblock[:, 1:], wb)
             collected.extend(atoms)
-            theta = pu.solve_weights_full(whiten(phi, pu.measured_columns(phi, collected)), wb)
+            theta, _ = pu.solve_weights_full(
+                pu.ThinQR(wb, len(collected)), whiten(phi, pu.measured_columns(phi, collected)))
             fit = block @ alpha
             econ = frobenius_norm(pinv_apply(phi, fit) - r0)
             full = tensor_objective(phi, collected, theta, r0)

@@ -285,6 +285,23 @@ def test_leading_atoms_unit_norm_orthogonal_and_weighted():
         assert all(norms[i + 1] <= norms[i] + 1e-12 for i in range(2))
 
 
+def test_atoms_match_their_tprod_definition():
+    # leading_atoms assembles each batch in one real product; tprod of the
+    # truncated factors is the reference, for odd and even n3 and for tall
+    # and wide slices
+    rng = np.random.default_rng(213)
+    for shape in SHAPES + [(7, 9, 6), (9, 7, 5)]:
+        a = rng.standard_normal(shape)
+        k = min(shape[0], shape[1], 3)
+        f = truncated_tsvd(a, k)
+        atoms = leading_atoms(a, k)
+        assert len(atoms) == k
+        for i, at in enumerate(atoms):
+            tube = (f.s[i, i, :] / at.tube_norm).reshape(1, 1, -1)
+            want = tprod(tprod(f.u[:, i:i + 1, :], tube), conj_transpose(f.v[:, i:i + 1, :]))
+            assert frobenius_norm(at.atom - want) <= 1e-12, (shape, i)
+
+
 def test_full_atom_set_reconstructs_tensor():
     rng = np.random.default_rng(210)
     a = rng.standard_normal((4, 6, 3))
