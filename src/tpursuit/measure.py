@@ -7,7 +7,8 @@ vectors in that layout; the module functions ``apply``, ``pinv_apply`` and
 ``whiten`` check shapes and vectorize, then call them. ``pinv_apply`` is
 the Moore-Penrose right inverse, so apply(pinv_apply(b)) == b whenever the
 map has full row rank, and pinv_apply(apply(x)) is the orthogonal
-projection of x onto the row space.
+projection of x onto the row space. The ``unwhiten`` method inverts
+``whiten``, taking whitened coordinates back to measurements.
 """
 
 from __future__ import annotations
@@ -88,6 +89,9 @@ class SamplingMap:
         # the rows of a sampling map are orthonormal already
         return v
 
+    def unwhiten(self, w: np.ndarray) -> np.ndarray:
+        return w
+
 
 class DenseMap:
     """Multiplies the vectorized tensor by an explicit m x N sensing matrix."""
@@ -150,6 +154,10 @@ class DenseMap:
         if not np.all(np.isfinite(v)):
             raise ValueError("measured vectors must be finite")
         return scipy.linalg.solve_triangular(self._cholesky(), v, trans="T", check_finite=False)
+
+    def unwhiten(self, w: np.ndarray) -> np.ndarray:
+        # L w for the lower factor L = U' of phi phi' = L L', undoing whiten
+        return self._cholesky().T @ w
 
 
 MeasurementMap = SamplingMap | DenseMap

@@ -13,11 +13,13 @@ J. Sci. Comput., 2015); they differ only in their columns:
   coefficients), so its estimate is a rescale of the previous one plus
   the new batch.
 
-The loop works in measurement space: the fit is phi(yhat) and the
-residual is pinv(b - fit); yhat itself is summed once, at the end. The
+The loop works in whitened measurement space: it holds one fit, the
+whitened image wfit of phi(yhat), and the residual is
+pinv(b - unwhiten(wfit)); yhat itself is summed once, at the end. The
 standard refit keeps a thin QR factorization of its whitened columns and
 grows it by each batch, so an iteration costs O(m k s) on top of the slice
-factorization instead of refactoring the m x k block.
+factorization instead of refactoring the m x k block, and no other copy of
+the measured columns is kept.
 
 Both make the residual norm nonincreasing, and the decay is bounded by
 ``sqrt(1 - 1/min(n1, n2))`` per iteration regardless of the measurement
@@ -36,7 +38,7 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -176,32 +178,6 @@ class ThinQR:
         return w, self.qt.T @ (self.r @ w)
 
 
-@dataclass
-class PursuitState:
-    """Mutable loop state, kept in measurement space.
-
-    fit is phi(yhat) for yhat = sum of coeffs[i] * atoms[i], wfit its
-    whitened image, and residual is pinv(b - fit). factor is the thin QR of
-    the whitened images of every collected atom, which only the standard
-    refit reads. For sampling maps whitening is the identity, so fit and
-    wfit are the same array; dense maps keep the measured images of the
-    atoms in columns, from which the standard refit forms fit.
-    """
-
-    config: PursuitConfig
-    residual: Tensor3
-    fit: np.ndarray
-    wfit: np.ndarray
-    k: int = 1
-    atoms: list = field(default_factory=list)
-    coeffs: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    factor: ThinQR | None = None
-    columns: np.ndarray | None = None
-    residual_norms: list = field(default_factory=list)
-    history: list = field(default_factory=list)
-    iter_started_at: float = 0.0
-
-
 @dataclass(frozen=True)
 class PursuitResult:
     """Outcome of a run.
@@ -259,42 +235,25 @@ def solve_weights_economic(wfit: np.ndarray, wcols: np.ndarray,
     return weights, fit
 
 
-def update_residual(state: PursuitState, phi: MeasurementMap, b: np.ndarray, atoms,
-                    coeffs: np.ndarray, fit: np.ndarray, wfit: np.ndarray) -> PursuitState:
-    """Fold one refit into the state.
+def update_residual(phi: MeasurementMap, b: np.ndarray, wfit: np.ndarray, norms: list,
+                    k: int) -> Tensor3:
+    """The residual pinv(b - fit) of iteration k, for the whitened fit wfit.
 
-    atoms are this iteration's new atoms, coeffs the weights of every atom
-    collected so far, fit the measured image of that estimate and wfit its
-    whitened image. Sets the residual to pinv(b - fit) and appends the
-    history record. Raises NumericalFailure when the residual norm is not
+    norms holds the residual norms so far, starting at ||pinv(b)||; the new
+    norm is appended to it. Raises NumericalFailure when that norm is not
     finite and DivergenceDetected when it grows by more than RATE_SLACK
     relative to the starting norm.
     """
-    residual = pinv_apply(phi, b - fit)
+    residual = pinv_apply(phi, b - phi.unwhiten(wfit))
     norm_new = frobenius_norm(residual)
     if not math.isfinite(norm_new):
-        raise NumericalFailure(f"residual norm is {norm_new} at iteration {state.k}")
-    norm_prev = state.residual_norms[-1]
-    norm_start = state.residual_norms[0]
-    if norm_new > norm_prev + RATE_SLACK * norm_start:
+        raise NumericalFailure(f"residual norm is {norm_new} at iteration {k}")
+    if norm_new > norms[-1] + RATE_SLACK * norms[0]:
         raise DivergenceDetected(
-            f"residual grew from {norm_prev:.6e} to {norm_new:.6e} at iteration {state.k}"
+            f"residual grew from {norms[-1]:.6e} to {norm_new:.6e} at iteration {k}"
         )
-    state.history.append(IterationRecord(
-        k=state.k,
-        residual_norm=norm_new,
-        rate_bound=norm_start * _decay_factor(phi.dims)**state.k,
-        elapsed_s=time.perf_counter() - state.iter_started_at,
-        leading_inner=atoms[0].tube_norm,
-    ))
-    state.residual_norms.append(norm_new)
-    state.atoms.extend(atoms)
-    state.coeffs = coeffs
-    state.fit = fit
-    state.wfit = wfit
-    state.residual = residual
-    state.k += 1
-    return state
+    norms.append(norm_new)
+    return residual
 
 
 def run(b: np.ndarray, phi: MeasurementMap, cfg: PursuitConfig) -> PursuitResult:
@@ -321,47 +280,47 @@ def run(b: np.ndarray, phi: MeasurementMap, cfg: PursuitConfig) -> PursuitResult
     n1, n2, n3 = phi.dims
     if cfg.r > min(n1, n2):
         raise RankOutOfRange(f"target rank {cfg.r} exceeds min(n1, n2) = {min(n1, n2)}")
-    r0 = pinv_apply(phi, b)
-    r0_norm = frobenius_norm(r0)
+    residual = pinv_apply(phi, b)
+    r0_norm = frobenius_norm(residual)
     if not math.isfinite(r0_norm):
         raise NumericalFailure(f"backprojection norm is {r0_norm}; the measurements overflow")
     wb = whiten(phi, b)
-    fit = np.zeros(phi.m)
-    state = PursuitState(config=cfg, residual=r0, fit=fit, wfit=fit, residual_norms=[r0_norm],
-                         factor=ThinQR(wb, cfg.r), columns=np.zeros((phi.m, 0)))
+    # the standard refit's factor; the economic refit builds its own
+    factor = ThinQR(wb, cfg.r)
+    wfit = np.zeros(phi.m)
+    atoms, coeffs, norms, history = [], np.zeros(0), [r0_norm], []
+    k = 1
     converged = r0_norm <= cfg.residual_tol * r0_norm
-    while state.k <= cfg.iterations_limit and not converged:
-        state.iter_started_at = time.perf_counter()
-        left = cfg.r - cfg.s * (state.k - 1)
-        atoms = leading_atoms(state.residual, min(cfg.s, left) if left > 0 else cfg.s)
-        if not atoms:
+    while k <= cfg.iterations_limit and not converged:
+        started = time.perf_counter()
+        left = cfg.r - cfg.s * (k - 1)
+        batch = leading_atoms(residual, min(cfg.s, left) if left > 0 else cfg.s)
+        if not batch:
             converged = True
             break
-        cols = measured_columns(phi, atoms)
-        wcols = whiten(phi, cols)
+        wcols = whiten(phi, measured_columns(phi, batch))
         if cfg.variant == "standard":
-            weights, wfit = solve_weights_full(state.factor, wcols)
-            coeffs = weights
+            coeffs, wfit = solve_weights_full(factor, wcols)
         else:
-            weights, wfit = solve_weights_economic(state.wfit, wcols, wb)
-            coeffs = np.concatenate([weights[0] * state.coeffs, weights[1:]])
-        if wcols is cols:
-            # whitening is the identity for sampling maps
-            fit = wfit
-        elif cfg.variant == "standard":
-            state.columns = np.hstack([state.columns, cols])
-            fit = state.columns @ weights
-        else:
-            fit = weights[0] * state.fit + cols @ weights[1:]
-        update_residual(state, phi, b, atoms, coeffs, fit, wfit)
-        converged = state.residual_norms[-1] <= cfg.residual_tol * r0_norm
+            weights, wfit = solve_weights_economic(wfit, wcols, wb)
+            coeffs = np.concatenate([weights[0] * coeffs, weights[1:]])
+        residual = update_residual(phi, b, wfit, norms, k)
+        history.append(IterationRecord(
+            k=k,
+            residual_norm=norms[-1],
+            rate_bound=r0_norm * _decay_factor(phi.dims)**k,
+            elapsed_s=time.perf_counter() - started,
+            leading_inner=batch[0].tube_norm,
+        ))
+        atoms.extend(batch)
+        converged = norms[-1] <= cfg.residual_tol * r0_norm
+        k += 1
     # atoms are Fortran ordered, so the sum runs in storage order
     yhat = np.zeros(phi.dims, order="F")
-    for c, at in zip(state.coeffs, state.atoms):
+    for c, at in zip(coeffs, atoms):
         yhat += c * at.atom
-    return PursuitResult(yhat=yhat, residual_norms=np.asarray(state.residual_norms),
-                         iterations=state.k - 1, converged=bool(converged),
-                         history=tuple(state.history))
+    return PursuitResult(yhat=yhat, residual_norms=np.asarray(norms), iterations=k - 1,
+                         converged=bool(converged), history=tuple(history))
 
 
 class _RowFit:

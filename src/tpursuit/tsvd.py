@@ -10,6 +10,11 @@ slices are split across the CPUs the process may run on. Each left
 singular vector is rotated so that its largest-magnitude entry is real and
 nonnegative, which pins the per-slice phase and makes the factors
 deterministic.
+
+Rank-one atoms are built from the inverse-transformed factors without
+another Fourier pass: the t-product with a single tube is a circular
+convolution along the third mode, so each atom is one real matrix product
+over a lag table of its right factor.
 """
 
 from __future__ import annotations
@@ -171,25 +176,15 @@ def tubal_rank(a: Tensor3, rel_tol: float = RANK_REL_TOL) -> int:
     return int((tubes > rel_tol * tubes[0]).sum())
 
 
-def _inverse_rdft(n3: int) -> np.ndarray:
-    """Weights w (n3 x h) with x[t] = sum over f of Re(w[t, f] X[f]) for the
-    half spectrum X = rfft(x) of a real length-n3 sequence x."""
-    h = n3 // 2 + 1
-    scale = np.full(h, 2.0 / n3)
-    scale[0] = 1.0 / n3
-    if n3 % 2 == 0:
-        scale[-1] = 1.0 / n3
-    return scale * np.exp(2j * np.pi * np.outer(np.arange(n3), np.arange(h)) / n3)
-
-
 def leading_atoms(a: Tensor3, s: int, rel_tol: float = RANK_REL_TOL) -> list[RankOneAtom]:
     """Peel the s leading rank-one atoms off a tensor.
 
     Atom i is u(:, i, :) * (s(i, i, :) / theta_i) * v(:, i, :)' with
     theta_i the tube norm. Atoms whose tube norm falls below rel_tol times
     the leading tube norm are dropped, so a zero tensor yields an empty
-    list and the result may be shorter than s. Each atom is a Fortran-ordered
-    view, so its memory is its storage-order vectorization.
+    list and the result may be shorter than s. Atoms are assembled from the
+    time-domain factors; each is a Fortran-ordered view, so its memory is
+    its storage-order vectorization.
     """
     n1, n2, n3 = a.shape
     if not 1 <= s <= min(n1, n2):
@@ -202,19 +197,15 @@ def leading_atoms(a: Tensor3, s: int, rel_tol: float = RANK_REL_TOL) -> list[Ran
     theta = tubes[tubes >= rel_tol * tubes[0]]
     count = theta.size
     diag = np.arange(count)
-    # half spectra, one row per atom: u (count, h, n1), v (count, h, n2) and
-    # the normalized tubes (count, h)
-    h = n3 // 2 + 1
-    uh = np.fft.rfft(factors.u[:, :count, :], axis=2).transpose(1, 2, 0)
-    vh = np.fft.rfft(factors.v[:, :count, :], axis=2).transpose(1, 2, 0)
-    th = np.fft.rfft(factors.s[diag, diag, :], axis=1) / theta[:, None]
-    # DFT slice f of atom i is u_f t_f v_f^H, so frontal slice t of the atom,
-    # transposed, is the sum over f of Re(w[t, f] conj(v_f) (t_f u_f)^T) for
-    # the inverse real DFT weights w: one real product of inner width 2h per
+    idx = np.arange(n3)
+    lag = (idx[None, :] - idx[:, None]) % n3    # [c, t] -> t - c
+    # atom i is w_i * v_i' with w_i = u_i * (s_i / theta_i): as n1 x n3
+    # matrices, w_i is u_i times the tube's circulant tube[lag]. Frontal
+    # slice t of the atom, transposed, is the sum over c of
+    # v_i[:, c - t] w_i[:, c]', one real product of inner width n3 per
     # atom, landing in the storage order (count, n3, n2, n1)
-    left = _inverse_rdft(n3)[None, :, :, None] * vh.conj()[:, None, :, :]
-    left = np.concatenate([left.real, -left.imag], axis=2).transpose(0, 1, 3, 2)
-    right = th[:, :, None] * uh
-    right = np.concatenate([right.real, right.imag], axis=1)
-    stack = (left.reshape(count, n3 * n2, 2 * h) @ right).reshape(count, n3, n2, n1)
+    tube = factors.s[diag, diag, :] / theta[:, None]
+    w = factors.u[:, :count, :].transpose(1, 0, 2) @ tube[:, lag]
+    v = factors.v[:, :count, :].transpose(1, 0, 2)[:, :, lag].transpose(0, 2, 1, 3)
+    stack = (v.reshape(count, n3 * n2, n3) @ w.transpose(0, 2, 1)).reshape(count, n3, n2, n1)
     return [RankOneAtom(tube_norm=float(t), atom=stack[i].T) for i, t in enumerate(theta)]

@@ -286,6 +286,11 @@ def test_whiten_preserves_projected_inner_products():
             )
             rhs = float(np.dot(ms.whiten(phi, u), ms.whiten(phi, v)))
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
+            # unwhiten inverts whiten; a sampling map returns its input
+            back = phi.unwhiten(ms.whiten(phi, v))
+            assert np.linalg.norm(back - v) <= 1e-12 * np.linalg.norm(v)
+            if isinstance(phi, ms.SamplingMap):
+                assert phi.unwhiten(v) is v
 
 
 def test_preimages_and_atoms_stay_in_storage_order():

@@ -287,11 +287,14 @@ def test_leading_atoms_unit_norm_orthogonal_and_weighted():
 
 def test_atoms_match_their_tprod_definition():
     # leading_atoms assembles each batch in one real product; tprod of the
-    # truncated factors is the reference, for odd and even n3 and for tall
-    # and wide slices
+    # truncated factors is the reference, for odd and even n3, for n3 = 2
+    # (the smallest lag that wraps around), for tall and wide slices and
+    # for a Fortran-ordered input
     rng = np.random.default_rng(213)
-    for shape in SHAPES + [(7, 9, 6), (9, 7, 5)]:
-        a = rng.standard_normal(shape)
+    inputs = [rng.standard_normal(shape) for shape in SHAPES + [(7, 9, 6), (9, 7, 5), (5, 4, 2)]]
+    inputs.append(np.asfortranarray(rng.standard_normal((6, 7, 5))))
+    for a in inputs:
+        shape = a.shape
         k = min(shape[0], shape[1], 3)
         f = truncated_tsvd(a, k)
         atoms = leading_atoms(a, k)
