@@ -57,22 +57,6 @@ def tprod(a: Tensor3, b: Tensor3) -> Tensor3:
     return np.fft.irfft(ch.transpose(1, 2, 0), n=n3, axis=2)
 
 
-def conj_transpose(a: Tensor3) -> Tensor3:
-    """Transpose each frontal slice and reverse the order of slices 2..n3.
-
-    For real tensors this is the adjoint of :func:`tprod`:
-    conj_transpose(tprod(a, b)) == tprod(conj_transpose(b), conj_transpose(a)).
-    """
-    if a.ndim != 3:
-        raise ShapeMismatch(f"expected a third-order tensor, got ndim={a.ndim}")
-    n1, n2, n3 = a.shape
-    out = np.empty((n2, n1, n3), dtype=np.float64)
-    out[:, :, 0] = a[:, :, 0].T
-    if n3 > 1:
-        out[:, :, 1:] = a[:, :, :0:-1].transpose(1, 0, 2)
-    return out
-
-
 def frobenius_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 

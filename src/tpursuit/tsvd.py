@@ -150,6 +150,12 @@ def truncated_tsvd(a: Tensor3, k: int) -> TSVDFactors:
     NumericalFailure when a slice cannot be factored, such as for an input
     holding NaN or an infinity.
     """
+    return _assemble(*slice_factors(a, k), a.shape[2])
+
+
+def slice_factors(a: Tensor3, k: int):
+    """truncated_tsvd's factors of the half-spectrum DFT slices, (u, sigma, vh)
+    of shapes (h, n1, k), (h, k) and (h, k, n2) for h = n3 // 2 + 1."""
     n1, n2, n3 = a.shape
     if not 1 <= k <= min(n1, n2):
         raise RankOutOfRange(f"truncation width {k} outside [1, {min(n1, n2)}]")
@@ -165,7 +171,7 @@ def truncated_tsvd(a: Tensor3, k: int) -> TSVDFactors:
     if wide:
         u, vh = vh.conj().transpose(0, 2, 1), u.conj().transpose(0, 2, 1)
     u, vh = _fix_phase(u, vh)
-    return _assemble(u, sig, vh, n3)
+    return u, sig, vh
 
 
 def tubal_rank(a: Tensor3, rel_tol: float = RANK_REL_TOL) -> int:

@@ -14,10 +14,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from tpursuit.errors import ShapeMismatch
-from tpursuit.tensor import Tensor3, conj_transpose, frobenius_norm, tprod
+from tpursuit.tensor import Tensor3, frobenius_norm, tprod
 
 # bcirc/bdiag materialize (n1*n3) x (n2*n3) matrices; keep them test sized
 ORACLE_DIM_LIMIT = 64
+
+
+def conj_transpose(a: Tensor3) -> Tensor3:
+    """Transpose each frontal slice and reverse the order of slices 2..n3.
+
+    For real tensors this is the adjoint of :func:`tprod`:
+    conj_transpose(tprod(a, b)) == tprod(conj_transpose(b), conj_transpose(a)).
+    """
+    if a.ndim != 3:
+        raise ShapeMismatch(f"expected a third-order tensor, got ndim={a.ndim}")
+    n1, n2, n3 = a.shape
+    out = np.empty((n2, n1, n3), dtype=np.float64)
+    out[:, :, 0] = a[:, :, 0].T
+    if n3 > 1:
+        out[:, :, 1:] = a[:, :, :0:-1].transpose(1, 0, 2)
+    return out
 
 
 @dataclass(frozen=True)

@@ -10,12 +10,12 @@ import time
 
 import numpy as np
 
-from oracles import bcirc, bdiag, fft3, fold, inner, is_orthogonal, unfold
+from oracles import bcirc, bdiag, conj_transpose, fft3, fold, inner, is_orthogonal, unfold
 from tpursuit import cli, frames
 from tpursuit.errors import NumericalFailure
 from tpursuit.measure import apply, random_mask, sampling_map, write_msk
 from tpursuit.pursuit import PursuitConfig, check_rate, refine, run
-from tpursuit.tensor import conj_transpose, frobenius_norm, tprod
+from tpursuit.tensor import frobenius_norm, tprod
 from tpursuit.trip import TripStudyConfig, sample_rank_r_unit, scaling_study
 from tpursuit.tsvd import leading_atoms, tsvd, tubal_rank
 
@@ -232,25 +232,26 @@ def test_batch_size_tradeoff_curves():
         run(b, phi, cfg)  # warmup
     curves = {}
     times = {s: [] for s in cfgs}
-    # round robin, so that a slow spell on the host lands on every s alike
-    for _ in range(3):
+    # round robin, so that a slow spell on the host lands on every s alike;
+    # the fastest repeat is the one a slow spell touched least
+    for _ in range(5):
         for s, cfg in cfgs.items():
             t0 = time.perf_counter()
             res = run(b, phi, cfg)
             times[s].append(time.perf_counter() - t0)
             curves[s] = res.residual_norms
-    medians = {s: float(np.median(t)) for s, t in times.items()}
+    fastest = {s: min(t) for s, t in times.items()}
     monotone = all(
         all(c[i + 1] <= c[i] + 1e-10 * c[0] for i in range(len(c) - 1))
         for c in curves.values()
     )
-    ordered = medians[1] >= medians[2] >= medians[3]
+    ordered = fastest[1] >= fastest[2] >= fastest[3]
     ok = monotone and ordered
     _report(
         "batch size trade-off on a fixed half-observed instance",
         ok,
-        f"residual curves monotone={monotone}, median seconds "
-        f"s=1:{medians[1]:.3f} s=2:{medians[2]:.3f} s=3:{medians[3]:.3f}",
+        f"residual curves monotone={monotone}, fastest of 5 seconds "
+        f"s=1:{fastest[1]:.3f} s=2:{fastest[2]:.3f} s=3:{fastest[3]:.3f}",
     )
 
 

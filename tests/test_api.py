@@ -2,7 +2,6 @@
 nothing test-only left in the library."""
 
 import numpy as np
-import pytest
 
 import tpursuit
 from tpursuit import tensor
@@ -28,7 +27,7 @@ DOCUMENTED = {
 NOT_IN_TENSOR = (
     "bcirc", "bdiag", "fold", "unfold", "fft3", "ifft3", "FourierTensor",
     "identity_tensor", "is_orthogonal", "inner", "max_tube_norm",
-    "ORACLE_DIM_LIMIT",
+    "ORACLE_DIM_LIMIT", "conj_transpose",
 )
 
 
@@ -45,9 +44,14 @@ def test_tensor_module_holds_no_oracles():
     assert not hasattr(tpursuit.errors, "NonNegligibleImaginaryPart")
 
 
-def test_refine_rejects_a_dense_map():
+def test_refine_recovers_from_a_dense_map():
+    # 20 Gaussian measurements of a tubal-rank-1 4x4x2 tensor, which has 14
+    # degrees of freedom
     dims = (4, 4, 2)
     phi = gaussian_ensemble(20, dims, seed=5)
     assert isinstance(phi, DenseMap)
-    with pytest.raises(ValueError, match="sampling map"):
-        tpursuit.refine(np.zeros(phi.m), phi, np.zeros(dims), 2)
+    y = tpursuit.sample_rank_r_unit(dims, 1, np.random.default_rng(5))
+    b = tpursuit.apply(phi, y)
+    yhat = tpursuit.run(b, phi, tpursuit.PursuitConfig(r=1)).yhat
+    x = tpursuit.refine(b, phi, yhat, 1)
+    assert np.linalg.norm(x - y) <= 1e-10 * np.linalg.norm(y)

@@ -358,6 +358,13 @@ def test_relative_residuals_do_not_depend_on_the_scale_of_b():
             norms = pu.run(scale * b, phi, cfg).residual_norms
             np.testing.assert_allclose(norms / norms[0], ref / ref[0], rtol=0, atol=1e-10,
                                        err_msg=f"{variant} at scale {scale:g}")
+    # refine's result scales with b and yhat, over the same range of scales
+    yhat = pu.run(b, phi, pu.PursuitConfig(r=2)).yhat
+    ref = pu.refine(b, phi, yhat, 2)
+    for scale in (1e-8, 1e-4, 1e8, 1e12, 1e150):
+        x = pu.refine(scale * b, phi, scale * yhat, 2)
+        np.testing.assert_allclose(x / scale, ref, rtol=0, atol=1e-10 * np.abs(ref).max(),
+                                   err_msg=f"refine at scale {scale:g}")
 
 
 def test_metrics_csv_round_trip(tmp_path):
@@ -408,11 +415,12 @@ def test_refine_keeps_rank_and_never_raises_observed_residual(monkeypatch):
         assert np.all(np.isfinite(x))
         assert observed_misfit(phi, b, x) <= start
         assert observed_misfit(phi, b, x) < 0.5 * start
-        # the refinement capped at k sweeps returns sweep k's iterate; only
-        # rounding in forming the tensor may show between consecutive ones
+        # the refinement capped at k iterations returns the best of its
+        # first k iterates; only rounding in forming the tensor may show
+        # between consecutive caps
         misfits = [start]
         for cap in range(1, 26):
-            monkeypatch.setattr(pu, "REFINE_MAX_SWEEPS", cap)
+            monkeypatch.setattr(pu, "REFINE_MAX_ITERS", cap)
             x = pu.refine(b, phi, yhat, 3)
             assert tubal_rank(x) <= 3
             misfits.append(observed_misfit(phi, b, x))
@@ -445,17 +453,38 @@ def test_refine_repeats_byte_identically():
     assert one.tobytes() == two.tobytes()
 
 
-def test_refine_rejects_dense_maps_and_over_rank_inputs():
+def test_refine_recovers_from_gaussian_maps_and_rejects_over_rank_inputs():
+    # 160 Gaussian measurements are 1.25x the 128 degrees of freedom of a
+    # tubal-rank-2 8x8x4 tensor; the pursuit alone stops far from it
+    dims = (8, 8, 4)
+    for seed in (0, 1):
+        y = sample_rank_r_unit(dims, 2, np.random.default_rng(990 + seed))
+        dense = gaussian_ensemble(160, dims, seed=990 + seed)
+        b = apply(dense, y)
+        yhat = pu.run(b, dense, pu.PursuitConfig(r=2)).yhat
+        assert frobenius_norm(yhat - y) > 0.1 * frobenius_norm(y)
+        x = pu.refine(b, dense, yhat, 2)
+        assert frobenius_norm(x - y) <= 1e-10 * frobenius_norm(y)
     dims = (5, 5, 3)
-    dense = gaussian_ensemble(40, dims, seed=3)
-    with pytest.raises(ValueError, match="sampling map"):
-        pu.refine(np.zeros(dense.m), dense, np.zeros(dims), 2)
     phi = sampling_map(random_mask(dims, 0.5, seed=3))
     full_rank = np.random.default_rng(970).standard_normal(dims)
     with pytest.raises(RankOutOfRange):
         pu.refine(apply(phi, full_rank), phi, full_rank, 2)
     with pytest.raises(RankOutOfRange):
         pu.refine(np.zeros(phi.m), phi, np.zeros(dims), 6)
+
+
+def test_refine_recovers_acceptance_seed_105():
+    # seed 105 of the acceptance recovery family: a refinement by
+    # alternating least squares took the pursuit's rmse of 1.2e-2 to 2.8e-1
+    dims = (20, 20, 5)
+    y = sample_rank_r_unit(dims, 5, np.random.default_rng(105))
+    phi = sampling_map(random_mask(dims, 0.5, seed=105))
+    b = apply(phi, y)
+    yhat = pu.run(b, phi, pu.PursuitConfig(r=5, variant="economic")).yhat
+    x = pu.refine(b, phi, yhat, 5)
+    assert tubal_rank(x) <= 5
+    assert np.sqrt(np.mean((x - y) ** 2)) <= 1e-6
 
 
 def test_refine_rejects_non_finite_measurements():

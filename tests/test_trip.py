@@ -5,10 +5,11 @@ import csv
 import numpy as np
 import pytest
 
+from oracles import conj_transpose
 from tpursuit import trip
 from tpursuit.errors import RankOutOfRange
 from tpursuit.measure import apply, dense_map, gaussian_ensemble, random_mask, sampling_map
-from tpursuit.tensor import conj_transpose, frobenius_norm, tprod
+from tpursuit.tensor import frobenius_norm, tprod
 from tpursuit.tsvd import tubal_rank
 
 
