@@ -12,7 +12,7 @@ from .tensor import read_t3b, tprod, write_t3b
 from .trip import (TripStudyConfig, empirical_delta, sample_rank_r_unit,
                    scaling_study)
 from .tsvd import (RankOneAtom, TSVDFactors, leading_atoms, truncated_tsvd,
-                   tsvd, tubal_rank)
+                   tubal_rank)
 
 __version__ = "0.1.0"
 
@@ -26,5 +26,5 @@ __all__ = [
     "gaussian_ensemble", "leading_atoms", "pinv_apply", "rademacher_ensemble",
     "random_mask", "read_msk", "read_t3b", "refine", "run",
     "sample_rank_r_unit", "sampling_map", "scaling_study", "tprod",
-    "truncated_tsvd", "tsvd", "tubal_rank", "whiten", "write_msk", "write_t3b",
+    "truncated_tsvd", "tubal_rank", "whiten", "write_msk", "write_t3b",
 ]

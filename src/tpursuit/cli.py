@@ -75,8 +75,6 @@ def _emit(record: dict) -> None:
 
 def cmd_synth(args) -> int:
     dims = _parse_dims(args.dims)
-    if not 1 <= args.rank <= min(dims[0], dims[1]):
-        raise RankOutOfRange(f"rank {args.rank} outside [1, {min(dims[0], dims[1])}]")
     rng = np.random.default_rng(int(args.seed))
     y = sample_rank_r_unit(dims, args.rank, rng)
     y = y * rng.uniform(1.0, 10.0)

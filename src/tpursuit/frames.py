@@ -117,7 +117,7 @@ def ingest_paths(paths) -> np.ndarray:
     if suffixes == {"ppm"}:
         if len(paths) != 1:
             raise ValueError("color ingest takes exactly one PPM file")
-        return np.ascontiguousarray(read_ppm(paths[0]))
+        return read_ppm(paths[0])
     if suffixes != {"pgm"}:
         raise ValueError("ingest wants either PGM frames or a single PPM file")
     frames = [read_pgm(p) for p in paths]
@@ -125,7 +125,7 @@ def ingest_paths(paths) -> np.ndarray:
     for p, f in zip(paths, frames):
         if f.shape != shape:
             raise ShapeMismatch(f"{p}: frame shape {f.shape} differs from {shape}")
-    return np.ascontiguousarray(np.stack(frames, axis=2))
+    return np.stack(frames, axis=2)
 
 
 def export_frames(tensor: np.ndarray, out_dir, fmt: str = "pgm") -> list:

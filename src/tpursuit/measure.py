@@ -256,16 +256,12 @@ def read_msk(path) -> SamplingMask:
     if len(blob) < 24 or blob[:4] != MSK_MAGIC:
         raise FileFormatError(f"{path}: not an MSK1 mask file")
     n1, n2, n3, count = struct.unpack("<3IQ", blob[4:24])
-    if n1 < 1 or n2 < 1 or n3 < 1:
-        raise FileFormatError(f"{path}: dimensions must be positive, got {(n1, n2, n3)}")
-    if count < 1:
-        raise FileFormatError(f"{path}: mask holds no entries")
     if len(blob) != 24 + 8 * count:
         raise FileFormatError(
             f"{path}: payload holds {len(blob) - 24} bytes, expected {8 * count}"
         )
     idx = np.frombuffer(blob, dtype="<u8", offset=24).astype(np.int64)
-    n = n1 * n2 * n3
-    if idx[0] < 0 or idx[-1] >= n or np.any(np.diff(idx) <= 0):
-        raise FileFormatError(f"{path}: offsets must be strictly ascending within [0, {n})")
-    return SamplingMask(dims=(n1, n2, n3), indices=idx)
+    try:
+        return SamplingMask(dims=(n1, n2, n3), indices=idx)
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc

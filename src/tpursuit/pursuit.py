@@ -63,18 +63,14 @@ class PursuitConfig:
     """Run parameters.
 
     r is the target tubal rank, s the number of atoms added per iteration
-    (1 <= s <= r). Iteration k adds min(s, r - s*(k-1)) atoms while that is
-    positive, so the default max_iters = ceil(r / s) collects at most r
-    atoms; iterations past that (an explicit larger max_iters) add s each.
-    residual_tol stops early once ||R_k|| <= residual_tol * ||R_1||. The
+    (1 <= s <= r). Iteration k adds min(s, r - s*(k-1)) atoms, so a run
+    takes at most ceil(r / s) iterations and collects at most r atoms. The
     pursuit draws no randomness.
     """
 
     r: int
     s: int = 1
     variant: str = "standard"
-    residual_tol: float = 0.0
-    max_iters: int | None = None
 
     def __post_init__(self):
         if self.r < 1:
@@ -83,14 +79,6 @@ class PursuitConfig:
             raise ValueError(f"batch size {self.s} outside [1, r={self.r}]")
         if self.variant not in ("standard", "economic"):
             raise ValueError(f"variant must be 'standard' or 'economic', got {self.variant!r}")
-        if self.residual_tol < 0:
-            raise ValueError("residual_tol must be nonnegative")
-        if self.max_iters is not None and self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-
-    @property
-    def iterations_limit(self) -> int:
-        return self.max_iters if self.max_iters is not None else -(-self.r // self.s)
 
 
 @dataclass(frozen=True)
@@ -106,9 +94,10 @@ class ThinQR:
     """Thin QR factorization W = Q R of whitened measured columns, grown a
     batch of columns at a time, with Q' wb kept alongside.
 
-    Q' is stored as contiguous rows of an array that doubles when full, so
-    adding s columns to k costs O(m k s) and the m x k block W itself is
-    never kept or refactored.
+    Q' is stored as contiguous rows of an array with room for capacity
+    columns, at least as many as are ever added, so adding s columns to k
+    costs O(m k s) and the m x k block W itself is never kept or
+    refactored.
     """
 
     def __init__(self, wb: np.ndarray, capacity: int):
@@ -125,10 +114,6 @@ class ThinQR:
     def append(self, wcols: np.ndarray) -> None:
         """Add the columns of an m x s block."""
         k, s = self.r.shape[0], wcols.shape[1]
-        if k + s > len(self._qt):
-            grown = np.empty((max(2 * len(self._qt), k + s), self.wb.size))
-            grown[:k] = self._qt[:k]
-            self._qt = grown
         new = self._qt[k:k + s]
         new[...] = wcols.T
         r = np.zeros((k + s, k + s))
@@ -266,13 +251,12 @@ def run(b: np.ndarray, phi: MeasurementMap, cfg: PursuitConfig) -> PursuitResult
     cfg : run parameters
 
     Returns a PursuitResult whose yhat sums the collected atoms with their
-    final weights; with the default max_iters it has tubal rank at most r.
-    The loop stops after cfg.max_iters iterations (default ceil(r/s)), when
-    the residual drops to residual_tol * ||R_1||, or when the residual has
-    no atoms left to peel. Raises RankOutOfRange when cfg.r exceeds
-    min(n1, n2), ValueError when b holds a non-finite value, and
-    NumericalFailure when the norm of pinv(b) or of a residual is not
-    finite.
+    final weights, of tubal rank at most r. The loop stops after ceil(r/s)
+    iterations, or earlier when the residual has no atoms left to peel;
+    converged is True exactly when the residual reached zero. Raises
+    RankOutOfRange when cfg.r exceeds min(n1, n2), ValueError when b holds
+    a non-finite value, and NumericalFailure when the norm of pinv(b) or of
+    a residual is not finite.
     """
     b = np.asarray(b, dtype=np.float64).ravel()
     if not np.all(np.isfinite(b)):
@@ -290,11 +274,10 @@ def run(b: np.ndarray, phi: MeasurementMap, cfg: PursuitConfig) -> PursuitResult
     wfit = np.zeros(phi.m)
     atoms, coeffs, norms, history = [], np.zeros(0), [r0_norm], []
     k = 1
-    converged = r0_norm <= cfg.residual_tol * r0_norm
-    while k <= cfg.iterations_limit and not converged:
+    converged = r0_norm == 0.0
+    while cfg.s * (k - 1) < cfg.r and not converged:
         started = time.perf_counter()
-        left = cfg.r - cfg.s * (k - 1)
-        batch = leading_atoms(residual, min(cfg.s, left) if left > 0 else cfg.s)
+        batch = leading_atoms(residual, min(cfg.s, cfg.r - cfg.s * (k - 1)))
         if not batch:
             converged = True
             break
@@ -313,7 +296,7 @@ def run(b: np.ndarray, phi: MeasurementMap, cfg: PursuitConfig) -> PursuitResult
             leading_inner=batch[0].tube_norm,
         ))
         atoms.extend(batch)
-        converged = norms[-1] <= cfg.residual_tol * r0_norm
+        converged = norms[-1] == 0.0
         k += 1
     # atoms are Fortran ordered, so the sum runs in storage order
     yhat = np.zeros(phi.dims, order="F")
@@ -379,8 +362,8 @@ def refine(b: np.ndarray, phi: MeasurementMap, yhat: Tensor3, r: int) -> Tensor3
     Process., 2017). A phase ends once an iteration lowers its objective by
     less than REFINE_STALL of itself; REFINE_MAX_ITERS caps both together.
 
-    yhat has tubal rank at most r, such as run's output with the default
-    max_iters, and 1 <= r <= min(n1, n2); otherwise raises RankOutOfRange.
+    yhat has tubal rank at most r, such as run's output, and
+    1 <= r <= min(n1, n2); otherwise raises RankOutOfRange.
     Returns the iterate of least misfit, of tubal rank at most r, or a copy
     of yhat when none fits better, deterministically. Raises ValueError when
     b holds a non-finite value.
@@ -441,13 +424,13 @@ def refine(b: np.ndarray, phi: MeasurementMap, yhat: Tensor3, r: int) -> Tensor3
     return yhat.copy() if best_x is None else best_x
 
 
-def check_rate(result: PursuitResult, phi_inv_b_norm: float,
-               slack: float = RATE_SLACK) -> bool:
+def check_rate(result: PursuitResult, phi_inv_b_norm: float) -> bool:
     """True when every recorded residual obeys the guaranteed decay envelope
-    ||R_k|| <= tau^(k-1) * ||pinv(b)|| with tau = sqrt(1 - 1/min(n1, n2))."""
+    ||R_k|| <= tau^(k-1) * ||pinv(b)|| with tau = sqrt(1 - 1/min(n1, n2)),
+    up to a relative RATE_SLACK."""
     tau = _decay_factor(result.yhat.shape)
     for i, rn in enumerate(result.residual_norms):
-        if rn > tau**i * phi_inv_b_norm * (1.0 + slack):
+        if rn > tau**i * phi_inv_b_norm * (1.0 + RATE_SLACK):
             return False
     return True
 

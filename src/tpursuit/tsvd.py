@@ -5,11 +5,11 @@ remaining slices are conjugate mirrors, so the inverse transform returns
 real factors. To keep k triplets of a slice it takes the k leading
 eigenvectors of the slice's Gram matrix on its smaller side and runs a thin
 SVD of the slice times those vectors. At k = min(n1, n2) the eigenvectors
-form a unitary basis, so the same path gives the full decomposition. The
-slices are split across the CPUs the process may run on. Each left
-singular vector is rotated so that its largest-magnitude entry is real and
-nonnegative, which pins the per-slice phase and makes the factors
-deterministic.
+form a unitary basis, so the same path, ``truncated_tsvd(a, min(n1, n2))``,
+gives the full decomposition. The slices are split across the CPUs the
+process may run on. Each left singular vector is rotated so that its
+largest-magnitude entry is real and nonnegative, which pins the per-slice
+phase and makes the factors deterministic.
 
 Rank-one atoms are built from the inverse-transformed factors without
 another Fourier pass: the t-product with a single tube is a circular
@@ -130,17 +130,12 @@ def _assemble(u, sig, vh, n3: int) -> TSVDFactors:
     return TSVDFactors(u=u_t, s=s_t, v=v_t)
 
 
-def tsvd(a: Tensor3) -> TSVDFactors:
-    """Full decomposition a = u * s * v' with rho = min(n1, n2) singular tubes.
-
-    u and v have orthonormal lateral slices, s is f-diagonal with the
-    diagonal of every DFT slice real, nonnegative and sorted descending.
-    """
-    return truncated_tsvd(a, min(a.shape[0], a.shape[1]))
-
-
 def truncated_tsvd(a: Tensor3, k: int) -> TSVDFactors:
     """Leading k singular tubes of the decomposition; the best tubal-rank-k fit.
+
+    u and v have orthonormal lateral slices, s is f-diagonal with the
+    diagonal of every DFT slice real, nonnegative and sorted descending. At
+    k = min(n1, n2) it is the full decomposition a = u * s * v'.
 
     Each DFT slice's k leading right singular vectors come from the
     eigendecomposition of its Gram matrix on the smaller side; a thin SVD of
@@ -174,33 +169,29 @@ def slice_factors(a: Tensor3, k: int):
     return u, sig, vh
 
 
-def tubal_rank(a: Tensor3, rel_tol: float = RANK_REL_TOL) -> int:
-    """Number of singular tubes with norm above rel_tol times the leading one."""
-    tubes = tsvd(a).tube_norms()
-    if tubes[0] <= 0.0:
-        return 0
-    return int((tubes > rel_tol * tubes[0]).sum())
+def tubal_rank(a: Tensor3) -> int:
+    """Number of singular tubes with norm above RANK_REL_TOL times the
+    leading one; 0 for a zero tensor."""
+    tubes = truncated_tsvd(a, min(a.shape[0], a.shape[1])).tube_norms()
+    return int((tubes > RANK_REL_TOL * tubes[0]).sum())
 
 
-def leading_atoms(a: Tensor3, s: int, rel_tol: float = RANK_REL_TOL) -> list[RankOneAtom]:
+def leading_atoms(a: Tensor3, s: int) -> list[RankOneAtom]:
     """Peel the s leading rank-one atoms off a tensor.
 
     Atom i is u(:, i, :) * (s(i, i, :) / theta_i) * v(:, i, :)' with
-    theta_i the tube norm. Atoms whose tube norm falls below rel_tol times
-    the leading tube norm are dropped, so a zero tensor yields an empty
-    list and the result may be shorter than s. Atoms are assembled from the
-    time-domain factors; each is a Fortran-ordered view, so its memory is
-    its storage-order vectorization.
+    theta_i the tube norm. Only atoms whose tube norm is above RANK_REL_TOL
+    times the leading tube norm are kept, tubal_rank's rule, so a zero
+    tensor yields an empty list and the result may be shorter than s.
+    Raises RankOutOfRange unless 1 <= s <= min(n1, n2). Atoms are assembled
+    from the time-domain factors; each is a Fortran-ordered view, so its
+    memory is its storage-order vectorization.
     """
     n1, n2, n3 = a.shape
-    if not 1 <= s <= min(n1, n2):
-        raise RankOutOfRange(f"atom count {s} outside [1, {min(n1, n2)}]")
     factors = truncated_tsvd(a, s)
     tubes = factors.tube_norms()
-    if tubes[0] <= 0.0:
-        return []
     # tube norms are nonincreasing, so the kept atoms are a prefix
-    theta = tubes[tubes >= rel_tol * tubes[0]]
+    theta = tubes[tubes > RANK_REL_TOL * tubes[0]]
     count = theta.size
     diag = np.arange(count)
     idx = np.arange(n3)

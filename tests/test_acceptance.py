@@ -17,7 +17,7 @@ from tpursuit.measure import apply, random_mask, sampling_map, write_msk
 from tpursuit.pursuit import PursuitConfig, check_rate, refine, run
 from tpursuit.tensor import frobenius_norm, tprod
 from tpursuit.trip import TripStudyConfig, sample_rank_r_unit, scaling_study
-from tpursuit.tsvd import leading_atoms, tsvd, tubal_rank
+from tpursuit.tsvd import leading_atoms, truncated_tsvd, tubal_rank
 
 
 def _status(name, ok, detail):
@@ -97,7 +97,7 @@ def test_factorization_reconstructs_with_orthogonal_factors():
     for _ in range(100):
         n1, n2, n3 = (int(rng.integers(1, 9)) for _ in range(3))
         a = rng.standard_normal((n1, n2, n3))
-        f = tsvd(a)
+        f = truncated_tsvd(a, min(n1, n2))
         recon = tprod(tprod(f.u, f.s), conj_transpose(f.v))
         worst = max(
             worst, frobenius_norm(recon - a) / max(1.0, frobenius_norm(a))
@@ -161,7 +161,7 @@ def test_residual_decrease_and_rate_envelope():
             rhs = norms[rec.k - 1] ** 2 - rec.leading_inner**2
             if lhs > rhs + 1e-8 * norms[0] ** 2:
                 decrease_bad += 1
-        if not check_rate(res, norms[0], slack=1e-8):
+        if not check_rate(res, norms[0]):
             envelope_bad += 1
         runs += 1
     elapsed = time.perf_counter() - t0
@@ -232,13 +232,14 @@ def test_batch_size_tradeoff_curves():
         run(b, phi, cfg)  # warmup
     curves = {}
     times = {s: [] for s in cfgs}
-    # round robin, so that a slow spell on the host lands on every s alike;
-    # the fastest repeat is the one a slow spell touched least
+    # CPU time, which other load on the host does not inflate as it does
+    # wall time; round robin, so that what remains lands on every s alike,
+    # and the fastest repeat is the one it touched least
     for _ in range(5):
         for s, cfg in cfgs.items():
-            t0 = time.perf_counter()
+            t0 = time.process_time()
             res = run(b, phi, cfg)
-            times[s].append(time.perf_counter() - t0)
+            times[s].append(time.process_time() - t0)
             curves[s] = res.residual_norms
     fastest = {s: min(t) for s, t in times.items()}
     monotone = all(
@@ -250,7 +251,7 @@ def test_batch_size_tradeoff_curves():
     _report(
         "batch size trade-off on a fixed half-observed instance",
         ok,
-        f"residual curves monotone={monotone}, fastest of 5 seconds "
+        f"residual curves monotone={monotone}, fastest of 5 CPU seconds "
         f"s=1:{fastest[1]:.3f} s=2:{fastest[2]:.3f} s=3:{fastest[3]:.3f}",
     )
 

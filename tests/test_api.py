@@ -1,6 +1,8 @@
 """The package's public surface: the exports the README documents, and
 nothing test-only left in the library."""
 
+import dataclasses
+
 import numpy as np
 
 import tpursuit
@@ -19,7 +21,7 @@ DOCUMENTED = {
     "apply", "dense_map", "empirical_delta", "gaussian_ensemble",
     "leading_atoms", "pinv_apply", "rademacher_ensemble", "random_mask",
     "read_msk", "read_t3b", "refine", "run", "sample_rank_r_unit",
-    "sampling_map", "scaling_study", "tprod", "truncated_tsvd", "tsvd",
+    "sampling_map", "scaling_study", "tprod", "truncated_tsvd",
     "tubal_rank", "whiten", "write_msk", "write_t3b",
 }
 
@@ -36,6 +38,11 @@ def test_exports_are_the_documented_api():
     assert set(tpursuit.__all__) == DOCUMENTED
     for name in tpursuit.__all__:
         assert getattr(tpursuit, name) is not None, name
+
+
+def test_pursuit_config_has_only_rank_batch_and_variant():
+    assert tuple(f.name for f in dataclasses.fields(tpursuit.PursuitConfig)) == (
+        "r", "s", "variant")
 
 
 def test_tensor_module_holds_no_oracles():

@@ -196,9 +196,9 @@ def test_inner_shape_mismatch():
 def test_is_orthogonal():
     rng = np.random.default_rng(115)
     a = rng.standard_normal((6, 3, 4))
-    from tpursuit.tsvd import tsvd
+    from tpursuit.tsvd import truncated_tsvd
 
-    q = tsvd(a).u
+    q = truncated_tsvd(a, 3).u
     assert is_orthogonal(q)
     assert not is_orthogonal(2.0 * q)
     assert is_orthogonal(identity_tensor(4, 3))

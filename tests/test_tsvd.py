@@ -1,23 +1,21 @@
 """Unit tests for the tubal SVD and rank-one atom extraction."""
 
-import importlib
 import multiprocessing
 import os
 import sys
 import threading
+import types
 
 import numpy as np
 import pytest
 
 from oracles import (conj_transpose, fft3, identity_tensor, inner, is_orthogonal,
                      slice_svd_tsvd)
-from tpursuit.tsvd import leading_atoms, truncated_tsvd, tsvd, tubal_rank
+import tpursuit.tsvd as tsvd_module
+from tpursuit.tsvd import leading_atoms, truncated_tsvd, tubal_rank
 from tpursuit.errors import NumericalFailure, RankOutOfRange
 from tpursuit.tensor import frobenius_norm, tprod
 from tpursuit.trip import sample_rank_r_unit
-
-# the package exports the function tsvd under the module's name
-tsvd_module = importlib.import_module("tpursuit.tsvd")
 
 SHAPES = [(1, 1, 1), (4, 4, 1), (3, 5, 4), (5, 3, 4), (8, 8, 8), (6, 2, 7)]
 
@@ -26,12 +24,18 @@ def reconstruct(f):
     return tprod(tprod(f.u, f.s), conj_transpose(f.v))
 
 
+def test_import_binds_the_tsvd_module():
+    # no package attribute shadows the submodule
+    assert isinstance(tsvd_module, types.ModuleType)
+    assert tsvd_module.truncated_tsvd is truncated_tsvd
+
+
 def test_tsvd_reconstruction_and_orthogonality():
     rng = np.random.default_rng(201)
     for shape in SHAPES:
         for _ in range(4):
             a = rng.standard_normal(shape)
-            f = tsvd(a)
+            f = truncated_tsvd(a, min(a.shape[:2]))
             err = frobenius_norm(reconstruct(f) - a)
             assert err <= 1e-10 * max(1.0, frobenius_norm(a)), shape
             assert is_orthogonal(f.u)
@@ -42,7 +46,7 @@ def test_s_is_f_diagonal_with_exact_zeros():
     rng = np.random.default_rng(202)
     for shape in [(3, 5, 4), (5, 5, 3), (2, 6, 5)]:
         a = rng.standard_normal(shape)
-        f = tsvd(a)
+        f = truncated_tsvd(a, min(a.shape[:2]))
         rho = f.rho
         off = f.s.copy()
         off[np.arange(rho), np.arange(rho), :] = 0.0
@@ -53,7 +57,7 @@ def test_fourier_singular_values_real_nonneg_descending():
     rng = np.random.default_rng(203)
     for _ in range(10):
         a = rng.standard_normal((5, 4, 6))
-        f = tsvd(a)
+        f = truncated_tsvd(a, min(a.shape[:2]))
         shat = fft3(f.s).slices
         rho = f.rho
         for k in range(a.shape[2]):
@@ -67,7 +71,7 @@ def test_fourier_singular_values_real_nonneg_descending():
 def test_tube_norms_match_diagonal_and_order():
     rng = np.random.default_rng(204)
     a = rng.standard_normal((6, 5, 4))
-    f = tsvd(a)
+    f = truncated_tsvd(a, min(a.shape[:2]))
     tubes = f.tube_norms()
     for i in range(f.rho):
         assert abs(tubes[i] - np.linalg.norm(f.s[i, i, :])) <= 1e-12
@@ -263,8 +267,8 @@ def test_tubal_rank_cases():
 def test_factorization_is_deterministic():
     rng = np.random.default_rng(208)
     a = rng.standard_normal((5, 4, 3))
-    f1 = tsvd(a)
-    f2 = tsvd(a.copy())
+    f1 = truncated_tsvd(a, min(a.shape[:2]))
+    f2 = truncated_tsvd(a.copy(), min(a.shape[:2]))
     np.testing.assert_array_equal(f1.u, f2.u)
     np.testing.assert_array_equal(f1.s, f2.s)
     np.testing.assert_array_equal(f1.v, f2.v)
