@@ -2,13 +2,17 @@
 
 Subcommands: synth, complete, sense, trip, ingest, export. Every run with
 a fixed seed writes byte-identical files, except for the wall-clock column
-of the metrics CSV. Completion and sensing runs print a single JSON record
-on stdout. Exit codes: 2 usage, 3 I/O, 4 shape, 5 numerical.
+of the metrics CSV. Every command prints a single JSON record on stdout.
+Exit codes: 2 usage, 3 I/O, 4 shape, 5 numerical.
+
+``complete`` and ``sense`` share one recovery path, ``_recover``; the
+metrics and study CSVs share one writer, which writes floats as %.17g.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import glob
 import json
 import math
@@ -18,19 +22,20 @@ import time
 import numpy as np
 
 from . import frames
-from .errors import (DivergenceDetected, EmptyMask, FileFormatError,
-                     NumericalFailure, RankDeficientMap, RankOutOfRange,
-                     ShapeMismatch)
-from .measure import (apply, gaussian_ensemble, rademacher_ensemble,
-                      random_mask, read_msk, sampling_map)
-from .pursuit import PursuitConfig, run as run_pursuit, write_metrics_csv
+from .errors import (DivergenceDetected, FileFormatError, NumericalFailure,
+                     RankDeficientMap, ShapeMismatch)
+from .measure import ENSEMBLES, apply, random_mask, read_msk, sampling_map
+from .pursuit import PursuitConfig, PursuitResult, run as run_pursuit
 from .tensor import Tensor3, read_t3b, rmse, write_t3b
-from .trip import TripStudyConfig, sample_rank_r_unit, scaling_study, write_study_csv
+from .trip import TripStudyConfig, sample_rank_r_unit, scaling_study
 
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_SHAPE = 4
 EXIT_NUMERICAL = 5
+
+METRICS_HEADER = ("iter", "residual_norm", "rate_bound", "elapsed_ms")
+STUDY_HEADER = ("m", "delta_median", "delta_q1", "delta_q3", "trials", "samples")
 
 
 def _parse_dims(text: str) -> tuple:
@@ -73,6 +78,29 @@ def _emit(record: dict) -> None:
     sys.stdout.write(json.dumps(record) + "\n")
 
 
+def _write_csv(path, header, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_metrics_csv(path, result: PursuitResult) -> None:
+    """One row per iteration: iter, residual_norm, rate_bound, elapsed_ms."""
+    _write_csv(path, METRICS_HEADER, (
+        [rec.k, f"{rec.residual_norm:.17g}", f"{rec.rate_bound:.17g}",
+         f"{rec.elapsed_s * 1000.0:.17g}"]
+        for rec in result.history))
+
+
+def write_study_csv(path, rows) -> None:
+    """One row per measurement count of a scaling study, as STUDY_HEADER names."""
+    _write_csv(path, STUDY_HEADER, (
+        [row.m, f"{row.delta_median:.17g}", f"{row.delta_q1:.17g}",
+         f"{row.delta_q3:.17g}", row.trials, row.samples]
+        for row in rows))
+
+
 def cmd_synth(args) -> int:
     dims = _parse_dims(args.dims)
     rng = np.random.default_rng(int(args.seed))
@@ -84,72 +112,45 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _postrun_record(args, command, extra, y, result, wall_s):
-    record = {
-        "command": command,
-        "in": args.infile,
-        "out": args.out,
-        "metrics": args.metrics,
-        "dims": list(y.shape),
-        "rank": args.rank,
-        "batch": args.batch,
-        "variant": args.variant,
-        "seed": args.seed,
-        "noise_sigma": args.noise_sigma,
-    }
-    record.update(extra)
-    record.update({
-        "rmse": rmse(result.yhat, y),
-        "iterations": result.iterations,
-        "converged": result.converged,
-        "wall_time_s": wall_s,
-    })
-    return record
-
-
-def _finish_run(args, command, extra, y, result, wall_s) -> int:
+def _recover(args, command, y, phi, extra) -> int:
+    """Add the noise, measure y through phi and run the pursuit; write the
+    reconstruction and, if asked, the metrics CSV; print the run record."""
+    b = apply(phi, _add_noise(y, args.noise_sigma, args.seed))
+    cfg = PursuitConfig(r=args.rank, s=args.batch, variant=args.variant)
+    t0 = time.perf_counter()
+    result = run_pursuit(b, phi, cfg)
+    wall = time.perf_counter() - t0
     write_t3b(args.out, result.yhat)
     if args.metrics:
         write_metrics_csv(args.metrics, result)
-    _emit(_postrun_record(args, command, extra, y, result, wall_s))
+    _emit({"command": command, "in": args.infile, "out": args.out,
+           "metrics": args.metrics, "dims": list(y.shape), "rank": args.rank,
+           "batch": args.batch, "variant": args.variant, "seed": args.seed,
+           "noise_sigma": args.noise_sigma, **extra,
+           "rmse": rmse(result.yhat, y), "iterations": result.iterations,
+           "converged": result.converged, "wall_time_s": wall})
     return 0
 
 
 def cmd_complete(args) -> int:
     y = read_t3b(args.infile)
-    observed = _add_noise(y, args.noise_sigma, args.seed)
     if args.mask:
         mask = read_msk(args.mask)
         if mask.dims != y.shape:
             raise ShapeMismatch(f"mask dims {mask.dims} do not match tensor {y.shape}")
     else:
         mask = random_mask(y.shape, args.missing, int(args.seed))
-    phi = sampling_map(mask)
-    b = apply(phi, observed)
-    cfg = PursuitConfig(r=args.rank, s=args.batch, variant=args.variant)
-    t0 = time.perf_counter()
-    result = run_pursuit(b, phi, cfg)
-    wall = time.perf_counter() - t0
     extra = {"mask": args.mask, "missing": None if args.mask else args.missing,
              "observed": mask.p}
-    return _finish_run(args, "complete", extra, y, result, wall)
+    return _recover(args, "complete", y, sampling_map(mask), extra)
 
 
 def cmd_sense(args) -> int:
     y = read_t3b(args.infile)
-    n = y.size
-    if not 1 <= args.m <= n:
-        raise ValueError(f"--m {args.m} outside [1, N] for N = n1*n2*n3 = {n}")
-    observed = _add_noise(y, args.noise_sigma, args.seed)
-    make = gaussian_ensemble if args.ensemble == "gaussian" else rademacher_ensemble
-    phi = make(args.m, y.shape, seed=int(args.seed))
-    b = apply(phi, observed)
-    cfg = PursuitConfig(r=args.rank, s=args.batch, variant=args.variant)
-    t0 = time.perf_counter()
-    result = run_pursuit(b, phi, cfg)
-    wall = time.perf_counter() - t0
-    extra = {"ensemble": args.ensemble, "m": args.m}
-    return _finish_run(args, "sense", extra, y, result, wall)
+    if not 1 <= args.m <= y.size:
+        raise ValueError(f"--m {args.m} outside [1, N] for N = n1*n2*n3 = {y.size}")
+    phi = ENSEMBLES[args.ensemble](args.m, y.shape, seed=int(args.seed))
+    return _recover(args, "sense", y, phi, {"ensemble": args.ensemble, "m": args.m})
 
 
 def cmd_trip(args) -> int:
@@ -220,7 +221,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sense", help="recover a tensor from dense random measurements")
     add_pursuit_flags(p)
-    p.add_argument("--ensemble", choices=("gaussian", "rademacher"), default="gaussian")
+    p.add_argument("--ensemble", choices=tuple(ENSEMBLES), default="gaussian")
     p.add_argument("--m", type=int, required=True, help="number of measurements")
     p.set_defaults(func=cmd_sense)
 
@@ -230,7 +231,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-grid", dest="m_grid", required=True, help="comma-separated counts")
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--ensemble", choices=("gaussian", "rademacher"), default="gaussian")
+    p.add_argument("--ensemble", choices=tuple(ENSEMBLES), default="gaussian")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="study CSV path")
     p.set_defaults(func=cmd_trip)
@@ -254,24 +255,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileFormatError as exc:
-        print(f"tpursuit: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (RankOutOfRange, EmptyMask) as exc:
-        print(f"tpursuit: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ShapeMismatch as exc:
         print(f"tpursuit: {exc}", file=sys.stderr)
         return EXIT_SHAPE
-    except (NumericalFailure, RankDeficientMap, DivergenceDetected) as exc:
-        print(f"tpursuit: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except OSError as exc:
+    except (FileFormatError, OSError) as exc:
         print(f"tpursuit: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:
         print(f"tpursuit: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (NumericalFailure, RankDeficientMap, DivergenceDetected) as exc:
+        print(f"tpursuit: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

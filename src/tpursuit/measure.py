@@ -182,6 +182,10 @@ def rademacher_ensemble(m: int, dims, seed) -> DenseMap:
     return DenseMap(signs / math.sqrt(m), dims)
 
 
+# the dense ensembles by name, as the trip study and the command line take them
+ENSEMBLES = {"gaussian": gaussian_ensemble, "rademacher": rademacher_ensemble}
+
+
 def random_mask(dims, missing_ratio: float, seed) -> SamplingMask:
     """Keep ceil((1 - missing_ratio) * N) entries uniformly without replacement."""
     dims = tuple(int(d) for d in dims)

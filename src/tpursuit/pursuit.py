@@ -30,11 +30,13 @@ decay, not recovery: its atoms stay frozen once peeled.
 ``refine`` is a second stage for either kind of map: Riemannian conjugate
 gradients over the tensors of tubal rank r refit the whole estimate to the
 measurements, which can recover the tensor where the frozen atoms cannot.
+
+A run's history, one record per iteration, is what the command line writes
+as the metrics CSV (``tpursuit.cli.write_metrics_csv``).
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import time
 from dataclasses import dataclass
@@ -54,8 +56,6 @@ RATE_SLACK = 1e-8
 REFINE_NUCLEAR = 1e-2
 REFINE_STALL = 1e-6
 REFINE_MAX_ITERS = 2000
-
-METRICS_HEADER = ("iter", "residual_norm", "rate_bound", "elapsed_ms")
 
 
 @dataclass(frozen=True)
@@ -434,16 +434,3 @@ def check_rate(result: PursuitResult, phi_inv_b_norm: float) -> bool:
             return False
     return True
 
-
-def write_metrics_csv(path, result: PursuitResult) -> None:
-    """One row per iteration: iter, residual_norm, rate_bound, elapsed_ms."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(METRICS_HEADER)
-        for rec in result.history:
-            writer.writerow([
-                rec.k,
-                f"{rec.residual_norm:.17g}",
-                f"{rec.rate_bound:.17g}",
-                f"{rec.elapsed_s * 1000.0:.17g}",
-            ])

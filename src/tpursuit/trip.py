@@ -3,7 +3,8 @@
 ``empirical_delta`` probes a measurement map with random unit-norm
 tubal-rank-r tensors and reports the worst observed distortion
 max |  ||phi(x)||^2 - 1 |, a lower bound on the true constant.
-``scaling_study`` repeats that over a grid of measurement counts; for
+``scaling_study`` repeats that over a grid of measurement counts and
+returns the rows as measured, for ``tpursuit.cli.write_study_csv``; for
 subgaussian ensembles the median distortion should fall like m^(-1/2).
 
 Probes are drawn, orthonormalized, assembled and measured a block at a
@@ -18,18 +19,13 @@ rounding and the seeding of ``scaling_study`` is independent of it.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalFailure, RankOutOfRange
-from .measure import MeasurementMap, apply, gaussian_ensemble, rademacher_ensemble
+from .measure import ENSEMBLES, MeasurementMap, apply
 from .tensor import Tensor3
-
-STUDY_HEADER = ("m", "delta_median", "delta_q1", "delta_q3", "trials", "samples")
-
-_ENSEMBLES = {"gaussian": gaussian_ensemble, "rademacher": rademacher_ensemble}
 
 # a block of probes holds count * max(N, m) <= PROBE_BLOCK_ENTRIES entries
 # in its probe stack and in its measurements (at least one probe)
@@ -55,8 +51,8 @@ class TripStudyConfig:
             raise ValueError("m_grid must hold positive measurement counts")
         if self.n_samples < 1 or self.trials < 1:
             raise ValueError("n_samples and trials must be positive")
-        if self.ensemble not in _ENSEMBLES:
-            raise ValueError(f"ensemble must be one of {sorted(_ENSEMBLES)}")
+        if self.ensemble not in ENSEMBLES:
+            raise ValueError(f"ensemble must be one of {sorted(ENSEMBLES)}")
 
 
 @dataclass(frozen=True)
@@ -138,11 +134,11 @@ def scaling_study(cfg: TripStudyConfig) -> list[StudyRow]:
 
     Trial t of grid point i uses the derived seed cfg.seed + i*trials + t
     for both the ensemble draw and the probe stream, so results do not
-    depend on evaluation order. For a doubling grid the medians must be
-    nonincreasing up to one Monte Carlo inversion; more raises
-    NumericalFailure.
+    depend on evaluation order. The rows are returned as measured: Monte
+    Carlo noise can make a median rise along the grid, and judging the
+    trend is left to the caller.
     """
-    make = _ENSEMBLES[cfg.ensemble]
+    make = ENSEMBLES[cfg.ensemble]
     rows = []
     for i, m in enumerate(cfg.m_grid):
         deltas = np.empty(cfg.trials)
@@ -154,27 +150,5 @@ def scaling_study(cfg: TripStudyConfig) -> list[StudyRow]:
         q1, med, q3 = np.percentile(deltas, [25.0, 50.0, 75.0])
         rows.append(StudyRow(m=m, delta_median=float(med), delta_q1=float(q1),
                              delta_q3=float(q3), trials=cfg.trials, samples=cfg.n_samples))
-    doubling = all(b >= 2 * a for a, b in zip(cfg.m_grid, cfg.m_grid[1:]))
-    if doubling and len(rows) > 1:
-        inversions = sum(rows[i + 1].delta_median > rows[i].delta_median
-                         for i in range(len(rows) - 1))
-        if inversions > 1:
-            raise NumericalFailure(
-                f"median distortion rose {inversions} times along a doubling grid"
-            )
     return rows
 
-
-def write_study_csv(path, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(STUDY_HEADER)
-        for row in rows:
-            writer.writerow([
-                row.m,
-                f"{row.delta_median:.17g}",
-                f"{row.delta_q1:.17g}",
-                f"{row.delta_q3:.17g}",
-                row.trials,
-                row.samples,
-            ])

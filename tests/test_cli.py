@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from tpursuit import cli
+from tpursuit.errors import (DivergenceDetected, FileFormatError, NumericalFailure,
+                             RankDeficientMap, RankOutOfRange, ShapeMismatch)
 from tpursuit.measure import random_mask, write_msk
 from tpursuit.tensor import frobenius_norm, read_t3b, write_t3b
 from tpursuit.tsvd import tubal_rank
@@ -36,8 +38,6 @@ def test_rmse_definition():
     x = np.zeros((2, 2, 2))
     y = np.full((2, 2, 2), 2.0)
     assert cli.rmse(x, y) == 2.0
-    from tpursuit.errors import ShapeMismatch
-
     with pytest.raises(ShapeMismatch):
         cli.rmse(x, np.zeros((2, 2, 3)))
 
@@ -95,11 +95,9 @@ def test_complete_full_observation(tmp_path, capsys):
     assert record["iterations"] == 2
     yhat = read_t3b(out)
     assert frobenius_norm(yhat - y) <= 1e-6 * frobenius_norm(y)
-    from tpursuit.pursuit import METRICS_HEADER
-
     with open(metrics, newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == list(METRICS_HEADER)
+    assert rows[0] == list(cli.METRICS_HEADER)
     assert len(rows) == 1 + record["iterations"]
 
 
@@ -329,3 +327,78 @@ def test_export_ppm_wrong_depth(tmp_path, capsys):
 def test_unknown_subcommand(capsys):
     code, _ = run_cli(["polish"], capsys)
     assert code == cli.EXIT_USAGE
+
+
+def test_trip_study_keeps_rows_whose_medians_rise(tmp_path, capsys):
+    # Monte Carlo noise makes the medians of this doubling grid rise twice;
+    # the study still reports every row
+    out = tmp_path / "study.csv"
+    code, record = run_cli(
+        ["trip", "--dims", "4x4x2", "--rank", 1, "--m-grid", "8,16,32,64",
+         "--samples", 2, "--trials", 1, "--seed", 13, "--out", out],
+        capsys,
+    )
+    assert code == 0
+    assert record["m_grid"] == [8, 16, 32, 64]
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == list(cli.STUDY_HEADER)
+    assert [int(row[0]) for row in rows[1:]] == [8, 16, 32, 64]
+
+
+PURSUIT_KEYS = ["command", "in", "out", "metrics", "dims", "rank", "batch", "variant",
+                "seed", "noise_sigma"]
+OUTCOME_KEYS = ["rmse", "iterations", "converged", "wall_time_s"]
+
+
+def test_run_record_keys_in_order(tmp_path, capsys):
+    src, record = synth(tmp_path, capsys)
+    assert list(record) == ["command", "dims", "rank", "seed", "out"]
+    mask_path = tmp_path / "m.msk"
+    write_msk(mask_path, random_mask((6, 6, 4), 0.3, seed=5))
+    out = tmp_path / "r.t3b"
+    complete_keys = [*PURSUIT_KEYS, "mask", "missing", "observed", *OUTCOME_KEYS]
+    for flags in (["--missing", 0.3], ["--mask", mask_path]):
+        code, record = run_cli(
+            ["complete", "--in", src, "--out", out, "--rank", 2, *flags], capsys
+        )
+        assert code == 0
+        assert list(record) == complete_keys
+    code, record = run_cli(
+        ["sense", "--in", src, "--out", out, "--rank", 2, "--m", 100], capsys
+    )
+    assert code == 0
+    assert list(record) == [*PURSUIT_KEYS, "ensemble", "m", *OUTCOME_KEYS]
+    code, record = run_cli(
+        ["trip", "--dims", "4x4x2", "--rank", 1, "--m-grid", "8", "--samples", 2,
+         "--trials", 1, "--out", tmp_path / "s.csv"],
+        capsys,
+    )
+    assert code == 0
+    assert list(record) == ["command", "dims", "rank", "m_grid", "samples", "trials",
+                            "ensemble", "seed", "out"]
+
+
+@pytest.mark.parametrize("error, expected", [
+    (NumericalFailure("no convergence"), cli.EXIT_NUMERICAL),
+    (RankDeficientMap("dependent rows"), cli.EXIT_NUMERICAL),
+    (DivergenceDetected("residual grew"), cli.EXIT_NUMERICAL),
+    (ShapeMismatch("bad shape"), cli.EXIT_SHAPE),
+    (FileFormatError("not a T3B1 tensor file"), cli.EXIT_IO),
+    (OSError("disk gone"), cli.EXIT_IO),
+    (RankOutOfRange("rank too large"), cli.EXIT_USAGE),
+    (ValueError("bad value"), cli.EXIT_USAGE),
+])
+def test_each_error_maps_to_its_exit_code(tmp_path, capsys, monkeypatch, error, expected):
+    src, _ = synth(tmp_path, capsys)
+    out = tmp_path / "r.t3b"
+
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "run_pursuit", fail)
+    code = cli.main(["complete", "--in", str(src), "--out", str(out), "--rank", "2",
+                     "--missing", "0.5"])
+    assert code == expected
+    assert capsys.readouterr().err == f"tpursuit: {error}\n"
+    assert not out.exists()

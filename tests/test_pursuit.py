@@ -8,6 +8,7 @@ import pytest
 
 from oracles import inner
 from tpursuit import pursuit as pu
+from tpursuit.cli import METRICS_HEADER, write_metrics_csv
 from tpursuit.errors import DivergenceDetected, NumericalFailure, RankOutOfRange
 from tpursuit.measure import (
     SamplingMask,
@@ -370,10 +371,10 @@ def test_metrics_csv_round_trip(tmp_path):
     b = apply(phi, y)
     res = pu.run(b, phi, pu.PursuitConfig(r=3))
     path = tmp_path / "metrics.csv"
-    pu.write_metrics_csv(path, res)
+    write_metrics_csv(path, res)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    assert tuple(rows[0]) == pu.METRICS_HEADER
+    assert tuple(rows[0]) == METRICS_HEADER
     assert len(rows) == 1 + len(res.history)
     for row, rec in zip(rows[1:], res.history):
         assert int(row[0]) == rec.k

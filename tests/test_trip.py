@@ -7,6 +7,7 @@ import pytest
 
 from oracles import conj_transpose
 from tpursuit import trip
+from tpursuit.cli import STUDY_HEADER, write_study_csv
 from tpursuit.errors import RankOutOfRange
 from tpursuit.measure import apply, dense_map, gaussian_ensemble, random_mask, sampling_map
 from tpursuit.tensor import frobenius_norm, tprod
@@ -149,10 +150,10 @@ def test_study_csv_format(tmp_path):
     )
     rows = trip.scaling_study(cfg)
     path = tmp_path / "study.csv"
-    trip.write_study_csv(path, rows)
+    write_study_csv(path, rows)
     with open(path, newline="") as fh:
         parsed = list(csv.reader(fh))
-    assert tuple(parsed[0]) == trip.STUDY_HEADER
+    assert tuple(parsed[0]) == STUDY_HEADER
     assert len(parsed) == 1 + len(rows)
     for raw, row in zip(parsed[1:], rows):
         assert int(raw[0]) == row.m
