@@ -2,13 +2,13 @@
 
 Both act on the vectorization of a tensor in its storage layout
 (column-major slices, offset k*n1*n2 + j*n1 + i). A ``SamplingMap`` picks
-entries; a ``DenseMap`` multiplies by an m x N matrix. Their methods take
-vectors in that layout; the module functions ``apply``, ``pinv_apply`` and
-``whiten`` check shapes and vectorize, then call them. ``pinv_apply`` is
-the Moore-Penrose right inverse, so apply(pinv_apply(b)) == b whenever the
-map has full row rank, and pinv_apply(apply(x)) is the orthogonal
-projection of x onto the row space. The ``unwhiten`` method inverts
-``whiten``, taking whitened coordinates back to measurements.
+entries; a ``DenseMap`` multiplies by an m x N matrix. Each has the
+methods ``measure``, ``whiten`` and ``backproject`` (the adjoint of whiten
+after measure) on vectors in that layout; the module functions ``apply``,
+``whiten`` and ``backproject`` check shapes and vectorize, then call them.
+``pinv_apply`` is backproject after whiten, the Moore-Penrose right
+inverse, so apply(pinv_apply(b)) == b whenever the map has full row rank,
+and pinv_apply(apply(x)) is the orthogonal projection onto the row space.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (EmptyMask, FileFormatError, NumericalFailure, RankDeficientMap,
                      ShapeMismatch)
@@ -33,12 +32,6 @@ DENSE_ENTRY_LIMIT = 2**24
 def _vec(x: np.ndarray) -> np.ndarray:
     # a free view when x is Fortran ordered
     return np.asarray(x, dtype=np.float64).ravel(order="F")
-
-
-def _unvec(v: np.ndarray, dims) -> Tensor3:
-    # the Fortran-ordered view of v, in storage order like every tensor the
-    # pursuit builds
-    return v.reshape(dims, order="F")
 
 
 @dataclass(frozen=True)
@@ -80,17 +73,14 @@ class SamplingMap:
         # several times faster than fancy indexing
         return np.take(v, self.mask.indices, axis=-1)
 
-    def preimage(self, b: np.ndarray) -> np.ndarray:
-        v = np.zeros(self.n)
-        v[self.mask.indices] = b
-        return v
-
     def whiten(self, v: np.ndarray) -> np.ndarray:
         # the rows of a sampling map are orthonormal already
         return v
 
-    def unwhiten(self, w: np.ndarray) -> np.ndarray:
-        return w
+    def backproject(self, w: np.ndarray) -> np.ndarray:
+        v = np.zeros(self.n)
+        v[self.mask.indices] = w
+        return v
 
 
 class DenseMap:
@@ -143,21 +133,17 @@ class DenseMap:
     def measure(self, v: np.ndarray) -> np.ndarray:
         return v @ self.matrix.T
 
-    def preimage(self, b: np.ndarray) -> np.ndarray:
-        if not np.all(np.isfinite(b)):
-            raise ValueError("measurement vector must be finite")
-        w = scipy.linalg.cho_solve((self._cholesky(), False), b, check_finite=False)
-        return self.matrix.T @ w
-
     def whiten(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v)
+        # U'^-1 v; scipy loads on the first solve, not with the package
+        from scipy.linalg import solve_triangular
         if not np.all(np.isfinite(v)):
             raise ValueError("measured vectors must be finite")
-        return scipy.linalg.solve_triangular(self._cholesky(), v, trans="T", check_finite=False)
+        return solve_triangular(self._cholesky(), v, trans="T", check_finite=False)
 
-    def unwhiten(self, w: np.ndarray) -> np.ndarray:
-        # L w for the lower factor L = U' of phi phi' = L L', undoing whiten
-        return self._cholesky().T @ w
+    def backproject(self, w: np.ndarray) -> np.ndarray:
+        # phi' U^-1 w, the adjoint of whiten after measure
+        from scipy.linalg import solve_triangular
+        return self.matrix.T @ solve_triangular(self._cholesky(), w, check_finite=False)
 
 
 MeasurementMap = SamplingMap | DenseMap
@@ -219,29 +205,39 @@ def apply(phi: MeasurementMap, x: Tensor3) -> np.ndarray:
 
 
 def pinv_apply(phi: MeasurementMap, b: np.ndarray) -> Tensor3:
-    """Minimum-norm preimage of a measurement vector, a Fortran-ordered
-    tensor (its memory is the storage-order vectorization).
+    """Minimum-norm preimage of a measurement vector, backproject(whiten(b)).
 
-    Sampling maps scatter b back into a zero tensor. Dense maps solve with
-    the cached Cholesky factor of phi phi', raising RankDeficientMap when
-    the rows are numerically dependent, NumericalFailure when phi phi'
-    overflows, and ValueError when b holds a non-finite value.
+    Dense maps raise RankDeficientMap when their rows are numerically
+    dependent, NumericalFailure when phi phi' overflows, and ValueError
+    when b holds a non-finite value.
     """
     b = np.asarray(b, dtype=np.float64).ravel()
     if b.size != phi.m:
         raise ShapeMismatch(f"measurement vector has length {b.size}, expected {phi.m}")
-    return _unvec(phi.preimage(b), phi.dims)
+    return backproject(phi, whiten(phi, b))
 
 
 def whiten(phi: MeasurementMap, v: np.ndarray) -> np.ndarray:
-    """Map measured vectors to coordinates where the projected-tensor inner
-    product is the plain dot product.
-
-    Sampling maps are row-orthonormal already and return v itself; dense
-    maps apply the inverse of the lower Cholesky factor of phi phi' and
-    raise ValueError when v holds a non-finite value.
+    """Map measured vectors, of shape (m,) or (m, k), to coordinates where
+    the projected-tensor inner product is the plain dot product. Sampling
+    maps are row-orthonormal already and return v itself; dense maps solve
+    with U' for the upper Cholesky factor U of phi phi' = U'U, and raise
+    ValueError when v holds a non-finite value.
     """
+    v = np.asarray(v, dtype=np.float64)
+    if v.shape[:1] != (phi.m,):
+        raise ShapeMismatch(f"measured vectors have shape {v.shape}, expected {phi.m} rows")
     return phi.whiten(v)
+
+
+def backproject(phi: MeasurementMap, w: np.ndarray) -> Tensor3:
+    """The adjoint of whiten after apply, a Fortran-ordered tensor: w scattered
+    into zeros for a sampling map, phi' U^-1 w for a dense one."""
+    w = np.asarray(w, dtype=np.float64)
+    if w.shape != (phi.m,):
+        raise ShapeMismatch(f"whitened vector has shape {w.shape}, expected ({phi.m},)")
+    # the Fortran-ordered view, in storage order like every tensor the pursuit builds
+    return phi.backproject(w).reshape(phi.dims, order="F")
 
 
 def write_msk(path, mask: SamplingMask) -> None:

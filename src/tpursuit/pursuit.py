@@ -15,7 +15,7 @@ J. Sci. Comput., 2015); they differ only in their columns:
 
 The loop works in whitened measurement space: it holds one fit, the
 whitened image wfit of phi(yhat), and the residual is
-pinv(b - unwhiten(wfit)); yhat itself is summed once, at the end. The
+backproject(whiten(b) - wfit); yhat itself is summed once, at the end. The
 standard refit keeps a thin QR factorization of its whitened columns and
 grows it by each batch, so an iteration costs O(m k s) on top of the slice
 factorization instead of refactoring the m x k block, and no other copy of
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceDetected, NumericalFailure, RankOutOfRange, ShapeMismatch
-from .measure import MeasurementMap, apply, pinv_apply, whiten
+from .measure import MeasurementMap, apply, backproject, pinv_apply, whiten
 from .tensor import Tensor3, frobenius_norm
 from .tsvd import RANK_REL_TOL, leading_atoms, slice_factors
 
@@ -220,16 +220,16 @@ def solve_weights_economic(wfit: np.ndarray, wcols: np.ndarray,
     return weights, fit
 
 
-def update_residual(phi: MeasurementMap, b: np.ndarray, wfit: np.ndarray, norms: list,
+def update_residual(phi: MeasurementMap, wb: np.ndarray, wfit: np.ndarray, norms: list,
                     k: int) -> Tensor3:
-    """The residual pinv(b - fit) of iteration k, for the whitened fit wfit.
+    """The residual pinv(b - fit) of iteration k, for wb = whiten(b) and the whitened fit wfit.
 
     norms holds the residual norms so far, starting at ||pinv(b)||; the new
     norm is appended to it. Raises NumericalFailure when that norm is not
     finite and DivergenceDetected when it grows by more than RATE_SLACK
     relative to the starting norm.
     """
-    residual = pinv_apply(phi, b - phi.unwhiten(wfit))
+    residual = backproject(phi, wb - wfit)
     norm_new = frobenius_norm(residual)
     if not math.isfinite(norm_new):
         raise NumericalFailure(f"residual norm is {norm_new} at iteration {k}")
@@ -287,7 +287,7 @@ def run(b: np.ndarray, phi: MeasurementMap, cfg: PursuitConfig) -> PursuitResult
         else:
             weights, wfit = solve_weights_economic(wfit, wcols, wb)
             coeffs = np.concatenate([weights[0] * coeffs, weights[1:]])
-        residual = update_residual(phi, b, wfit, norms, k)
+        residual = update_residual(phi, wb, wfit, norms, k)
         history.append(IterationRecord(
             k=k,
             residual_norm=norms[-1],
@@ -311,9 +311,9 @@ def _ct(a: np.ndarray) -> np.ndarray:
     return a.conj().transpose(0, 2, 1)
 
 
-def _to_tensor(slices: np.ndarray, n3: int) -> Tensor3:
-    """The real tensor with the given half-spectrum DFT slices."""
-    return np.fft.irfft(slices.transpose(1, 2, 0), n=n3, axis=2)
+def _to_tensor(slices_t: np.ndarray, n3: int) -> Tensor3:
+    """The real tensor, in storage order, whose DFT slices transposed are slices_t."""
+    return np.fft.irfft(slices_t, n=n3, axis=0).transpose(2, 1, 0)
 
 
 def _inner(w: np.ndarray, t1, t2) -> float:
@@ -375,10 +375,9 @@ def refine(b: np.ndarray, phi: MeasurementMap, yhat: Tensor3, r: int) -> Tensor3
     if yhat.shape != phi.dims:
         raise ShapeMismatch(f"estimate shape {yhat.shape} does not match map dims {phi.dims}")
     b = np.asarray(b, dtype=np.float64).ravel()
-    if b.size != phi.m:
-        raise ShapeMismatch(f"measurement vector has length {b.size}, expected {phi.m}")
     if not np.all(np.isfinite(b)):
         raise ValueError("measurements must be finite")
+    wb = whiten(phi, b)
     u, sig, vh = slice_factors(yhat, min(r + 1, n1, n2))
     # the tensor inner product counts DC and Nyquist once, other slices twice
     w = np.where(2 * np.arange(len(sig)) % n3 == 0, 1.0, 2.0) / n3
@@ -386,13 +385,15 @@ def refine(b: np.ndarray, phi: MeasurementMap, yhat: Tensor3, r: int) -> Tensor3
     if sig.shape[1] > r and tubes[r] > RANK_REL_TOL * tubes[0]:
         raise RankOutOfRange(f"estimate has tubal rank above the refit rank {r}")
     u, s, v = u[:, :, :r], sig[:, :r], _ct(vh[:, :r, :])
-    best = frobenius_norm(whiten(phi, apply(phi, yhat) - b))
+    best = frobenius_norm(whiten(phi, apply(phi, yhat)) - wb)
     best_x, d, obj = None, None, math.inf
     lam = REFINE_NUCLEAR * tubes[0]
     for it in range(REFINE_MAX_ITERS + 1):
-        x = _to_tensor((u * s[:, None, :]) @ _ct(v), n3)
-        res = apply(phi, x) - b
-        misfit = frobenius_norm(whiten(phi, res))
+        # each slice transposed, conj(v) diag(s) u'
+        ut = u.transpose(0, 2, 1)
+        x = _to_tensor((v.conj() * s[:, None, :]) @ ut, n3)
+        res = whiten(phi, apply(phi, x)) - wb
+        misfit = frobenius_norm(res)
         if it and misfit < best:
             best, best_x = misfit, x
         new = 0.5 * misfit**2 + lam * float(w @ s.sum(axis=1))
@@ -403,7 +404,7 @@ def refine(b: np.ndarray, phi: MeasurementMap, yhat: Tensor3, r: int) -> Tensor3
         obj = new
         if it == REFINE_MAX_ITERS:
             break
-        z = np.fft.rfft(pinv_apply(phi, res), axis=2).transpose(2, 0, 1)
+        z = np.fft.rfft(backproject(phi, res), axis=2).transpose(2, 0, 1)
         m, up, vp = _tangent(u, v, z @ v, _ct(z) @ u)
         g = (m + lam * np.eye(r), up, vp)
         gg = _inner(w, g, g)
@@ -415,13 +416,14 @@ def refine(b: np.ndarray, phi: MeasurementMap, yhat: Tensor3, r: int) -> Tensor3
         if not slope < 0.0:
             d, slope = tuple(-p for p in g), -gg
         m, up, vp = d
-        step = whiten(phi, apply(phi, _to_tensor((u @ m + up) @ _ct(v) + u @ _ct(vp), n3)))
+        step_t = v.conj() @ (u @ m + up).transpose(0, 2, 1) + vp.conj() @ ut
+        step = whiten(phi, apply(phi, _to_tensor(step_t, n3)))
         curvature = float(step @ step)
         if not (slope < 0.0 and curvature > 0.0):
             break
         g_old, gg_old, u_old, v_old = g, gg, u, v
         u, s, v = _retract(u, s, v, d, -slope / curvature)
-    return yhat.copy() if best_x is None else best_x
+    return yhat.copy(order="F") if best_x is None else best_x
 
 
 def check_rate(result: PursuitResult, phi_inv_b_norm: float) -> bool:

@@ -1,6 +1,10 @@
 """Unit tests for sampling and dense measurement maps."""
 
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -104,6 +108,23 @@ def test_apply_shape_mismatch():
             ms.apply(phi, np.zeros(bad))
     with pytest.raises(ShapeMismatch):
         ms.pinv_apply(phi, np.zeros(6))
+
+
+def test_whiten_and_backproject_check_the_measured_length():
+    # a wrong length is a shape error on both kinds of map, not a vector
+    # returned unchanged or a shape error from inside scipy
+    dims = (3, 3, 2)
+    for phi in (ms.gaussian_ensemble(5, dims, seed=0),
+                ms.sampling_map(ms.random_mask(dims, 0.5, seed=0))):
+        for bad in ((phi.m + 1,), (phi.m - 1, 2), (1, phi.m), ()):
+            with pytest.raises(ShapeMismatch):
+                ms.whiten(phi, np.ones(bad))
+            with pytest.raises(ShapeMismatch):
+                ms.backproject(phi, np.ones(bad))
+        # backproject takes one vector, whiten a block of them too
+        assert ms.whiten(phi, np.ones((phi.m, 2))).shape == (phi.m, 2)
+        with pytest.raises(ShapeMismatch):
+            ms.backproject(phi, np.ones((phi.m, 2)))
 
 
 def test_gaussian_ensemble_determinism_and_scale():
@@ -263,7 +284,9 @@ def test_dense_solves_match_the_per_call_lower_factor_solve():
     lower = np.linalg.cholesky(phi.matrix @ phi.matrix.T)
     for _ in range(3):
         b = rng.standard_normal(phi.m)
-        want = (phi.matrix.T @ scipy.linalg.cho_solve((lower, True), b)).reshape(dims, order="F")
+        half = scipy.linalg.solve_triangular(lower, b, lower=True)
+        back = scipy.linalg.solve_triangular(lower, half, lower=True, trans="T")
+        want = (phi.matrix.T @ back).reshape(dims, order="F")
         np.testing.assert_array_equal(ms.pinv_apply(phi, b), want)
         for v in (b, rng.standard_normal((phi.m, 3))):
             want = scipy.linalg.solve_triangular(lower, v, lower=True)
@@ -286,11 +309,25 @@ def test_whiten_preserves_projected_inner_products():
             )
             rhs = float(np.dot(ms.whiten(phi, u), ms.whiten(phi, v)))
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
-            # unwhiten inverts whiten; a sampling map returns its input
-            back = phi.unwhiten(ms.whiten(phi, v))
-            assert np.linalg.norm(back - v) <= 1e-12 * np.linalg.norm(v)
-            if isinstance(phi, ms.SamplingMap):
-                assert phi.unwhiten(v) is v
+
+
+def test_backproject_is_the_adjoint_of_whitened_measurement():
+    # <backproject(w), x> over tensors equals <w, whiten(apply(x))>
+    rng = np.random.default_rng(331)
+    dims = (5, 4, 3)
+    for phi in (
+        ms.gaussian_ensemble(30, dims, seed=331),
+        ms.rademacher_ensemble(45, dims, seed=331),
+        ms.sampling_map(ms.random_mask(dims, 0.5, seed=331)),
+    ):
+        for _ in range(5):
+            w = rng.standard_normal(phi.m)
+            x = rng.standard_normal(dims)
+            back = ms.backproject(phi, w)
+            assert back.shape == dims and back.flags.f_contiguous
+            lhs = float(np.sum(back * x))
+            rhs = float(w @ ms.whiten(phi, ms.apply(phi, x)))
+            assert abs(lhs - rhs) <= 1e-10 * abs(rhs)
 
 
 def test_preimages_and_atoms_stay_in_storage_order():
@@ -306,3 +343,21 @@ def test_preimages_and_atoms_stay_in_storage_order():
     for at in atoms:
         assert at.atom.shape == dims and at.atom.flags.f_contiguous
         assert np.shares_memory(ms._vec(at.atom), at.atom)
+
+
+def test_importing_the_package_leaves_scipy_unloaded():
+    # scipy serves only the dense solves and loads on the first of them
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import tpursuit\n"
+        "assert 'scipy' not in sys.modules, 'scipy loaded with tpursuit'\n"
+        "phi = tpursuit.gaussian_ensemble(12, (3, 3, 2), seed=1)\n"
+        "b = np.arange(1.0, 13.0)\n"
+        "assert np.allclose(tpursuit.apply(phi, tpursuit.pinv_apply(phi, b)), b)\n"
+        "assert 'scipy' in sys.modules\n"
+    )
+    src = str(Path(ms.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -11,7 +11,9 @@ from tpursuit import pursuit as pu
 from tpursuit.cli import METRICS_HEADER, write_metrics_csv
 from tpursuit.errors import DivergenceDetected, NumericalFailure, RankOutOfRange
 from tpursuit.measure import (
+    SamplingMap,
     SamplingMask,
+    _vec,
     apply,
     gaussian_ensemble,
     pinv_apply,
@@ -313,7 +315,27 @@ def test_divergence_detected_on_bad_weights():
     weights = np.array([1e6])
     wfit = whiten(phi, pu.measured_columns(phi, atoms) @ weights)
     with pytest.raises(DivergenceDetected):
-        pu.update_residual(phi, b, wfit, [frobenius_norm(r0)], 1)
+        pu.update_residual(phi, whiten(phi, b), wfit, [frobenius_norm(r0)], 1)
+
+
+def test_update_residual_is_the_preimage_of_the_unwhitened_misfit():
+    # backproject(wb - wfit) is pinv(b - L wfit) for phi phi' = L L',
+    # without leaving whitened coordinates
+    rng = np.random.default_rng(412)
+    dims = (6, 5, 4)
+    for phi in (gaussian_ensemble(70, dims, seed=412),
+                sampling_map(random_mask(dims, 0.5, seed=412))):
+        b = apply(phi, sample_rank_r_unit(dims, 2, rng))
+        r0 = pinv_apply(phi, b)
+        atoms = leading_atoms(r0, 2)
+        wfit = whiten(phi, pu.measured_columns(phi, atoms) @ np.array([0.7, -0.2]))
+        got = pu.update_residual(phi, whiten(phi, b), wfit, [frobenius_norm(r0)], 1)
+        assert got.flags.f_contiguous
+        if isinstance(phi, SamplingMap):
+            np.testing.assert_array_equal(got, pinv_apply(phi, b - wfit))
+        else:
+            want = pinv_apply(phi, b - phi._cholesky().T @ wfit)
+            assert frobenius_norm(got - want) <= 1e-12 * frobenius_norm(want)
 
 
 def test_non_finite_norms_raise_numerical_failure():
@@ -335,7 +357,7 @@ def test_non_finite_norms_raise_numerical_failure():
         weights = np.array([bad])
         wfit = whiten(phi, pu.measured_columns(phi, atoms) @ weights)
         with pytest.raises(NumericalFailure, match="residual norm"):
-            pu.update_residual(phi, b, wfit, [frobenius_norm(r0)], 1)
+            pu.update_residual(phi, whiten(phi, b), wfit, [frobenius_norm(r0)], 1)
 
 
 def test_relative_residuals_do_not_depend_on_the_scale_of_b():
@@ -423,6 +445,24 @@ def test_refine_keeps_rank_and_never_raises_observed_residual(monkeypatch):
             assert misfits[-1] <= start
         monkeypatch.undo()
         assert all(m1 <= m0 + 1e-12 * start for m0, m1 in zip(misfits, misfits[1:])), misfits
+
+
+def test_refine_returns_tensors_in_storage_order(monkeypatch):
+    # like run's estimate, so apply vectorizes refine's output without a copy
+    dims = (6, 5, 4)
+    y = sample_rank_r_unit(dims, 2, np.random.default_rng(931))
+    for phi in (sampling_map(random_mask(dims, 0.4, seed=931)),
+                gaussian_ensemble(90, dims, seed=931)):
+        b = apply(phi, y)
+        yhat = pu.run(b, phi, pu.PursuitConfig(r=2)).yhat
+        # an improving iterate, then the copy of a C-ordered input that no
+        # iterate improves on when the cap allows none
+        for cap, start in ((pu.REFINE_MAX_ITERS, yhat), (0, np.ascontiguousarray(yhat))):
+            monkeypatch.setattr(pu, "REFINE_MAX_ITERS", cap)
+            x = pu.refine(b, phi, start, 2)
+            assert x.shape == dims and x.flags.f_contiguous
+            assert np.shares_memory(_vec(x), x)
+        monkeypatch.undo()
 
 
 def test_refine_recovers_exactly_under_full_observation():
