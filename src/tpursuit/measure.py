@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import (EmptyMask, FileFormatError, NumericalFailure, RankDeficientMap,
                      ShapeMismatch)
-from .tensor import Tensor3
+from .tensor import Tensor3, tensor_dims
 
 MSK_MAGIC = b"MSK1"
 
@@ -42,9 +42,7 @@ class SamplingMask:
     indices: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        if len(dims) != 3 or any(d < 1 for d in dims):
-            raise ShapeMismatch(f"mask dims must be three positive integers, got {self.dims}")
+        dims = tensor_dims(self.dims)
         idx = np.asarray(self.indices, dtype=np.int64).ravel()
         if idx.size == 0:
             raise EmptyMask("a sampling mask must keep at least one entry")
@@ -84,10 +82,13 @@ class SamplingMap:
 
 
 class DenseMap:
-    """Multiplies the vectorized tensor by an explicit m x N sensing matrix."""
+    """Multiplies the vectorized tensor by an explicit m x N sensing matrix.
+
+    dims must be three positive integers; ShapeMismatch otherwise.
+    """
 
     def __init__(self, matrix: np.ndarray, dims):
-        dims = tuple(int(d) for d in dims)
+        dims = tensor_dims(dims)
         n = dims[0] * dims[1] * dims[2]
         matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[1] != n:
@@ -153,18 +154,25 @@ sampling_map = SamplingMap
 dense_map = DenseMap
 
 
+def _ensemble_shape(m, dims) -> tuple:
+    # the m x N shape of an ensemble's matrix, for m an integer >= 1
+    if not isinstance(m, (int, np.integer)) or m < 1:
+        raise ValueError(f"the measurement count must be an integer >= 1, got {m!r}")
+    return int(m), math.prod(tensor_dims(dims))
+
+
 def gaussian_ensemble(m: int, dims, seed) -> DenseMap:
-    """iid N(0, 1/m) sensing matrix; E||phi(x)||^2 equals ||x||_F^2."""
+    """iid N(0, 1/m) sensing matrix; E||phi(x)||^2 equals ||x||_F^2.
+    Raises ValueError unless m is an integer >= 1."""
     rng = np.random.default_rng(seed)
-    n = math.prod(int(d) for d in dims)
-    return DenseMap(rng.standard_normal((int(m), n)) / math.sqrt(m), dims)
+    return DenseMap(rng.standard_normal(_ensemble_shape(m, dims)) / math.sqrt(m), dims)
 
 
 def rademacher_ensemble(m: int, dims, seed) -> DenseMap:
-    """iid +-1/sqrt(m) sensing matrix; E||phi(x)||^2 equals ||x||_F^2."""
+    """iid +-1/sqrt(m) sensing matrix; E||phi(x)||^2 equals ||x||_F^2.
+    Raises ValueError unless m is an integer >= 1."""
     rng = np.random.default_rng(seed)
-    n = math.prod(int(d) for d in dims)
-    signs = rng.integers(0, 2, size=(int(m), n)).astype(np.float64) * 2.0 - 1.0
+    signs = rng.integers(0, 2, size=_ensemble_shape(m, dims)).astype(np.float64) * 2.0 - 1.0
     return DenseMap(signs / math.sqrt(m), dims)
 
 
@@ -174,7 +182,7 @@ ENSEMBLES = {"gaussian": gaussian_ensemble, "rademacher": rademacher_ensemble}
 
 def random_mask(dims, missing_ratio: float, seed) -> SamplingMask:
     """Keep ceil((1 - missing_ratio) * N) entries uniformly without replacement."""
-    dims = tuple(int(d) for d in dims)
+    dims = tensor_dims(dims)
     if not 0.0 <= missing_ratio < 1.0:
         raise ValueError(f"missing_ratio must lie in [0, 1), got {missing_ratio}")
     n = dims[0] * dims[1] * dims[2]

@@ -30,6 +30,10 @@ decay, not recovery: its atoms stay frozen once peeled.
 ``refine`` is a second stage for either kind of map: Riemannian conjugate
 gradients over the tensors of tubal rank r refit the whole estimate to the
 measurements, which can recover the tensor where the frozen atoms cannot.
+It holds each iterate as transposed half-spectrum slices, the layout of
+``tensor.spectrum``: the gradient slices are the spectrum of the
+backprojected residual, and ``tensor.from_spectrum`` turns an iterate into
+a Fortran-ordered tensor, like ``run``'s estimate.
 
 A run's history, one record per iteration, is what the command line writes
 as the metrics CSV (``tpursuit.cli.write_metrics_csv``).
@@ -45,7 +49,7 @@ import numpy as np
 
 from .errors import DivergenceDetected, NumericalFailure, RankOutOfRange, ShapeMismatch
 from .measure import MeasurementMap, apply, backproject, pinv_apply, whiten
-from .tensor import Tensor3, frobenius_norm
+from .tensor import Tensor3, as_tensor3, frobenius_norm, from_spectrum, spectrum
 from .tsvd import RANK_REL_TOL, leading_atoms, slice_factors
 
 RATE_SLACK = 1e-8
@@ -311,11 +315,6 @@ def _ct(a: np.ndarray) -> np.ndarray:
     return a.conj().transpose(0, 2, 1)
 
 
-def _to_tensor(slices_t: np.ndarray, n3: int) -> Tensor3:
-    """The real tensor, in storage order, whose DFT slices transposed are slices_t."""
-    return np.fft.irfft(slices_t, n=n3, axis=0).transpose(2, 1, 0)
-
-
 def _inner(w: np.ndarray, t1, t2) -> float:
     """Tensor inner product of two tangent vectors at one point."""
     return sum(float(w @ np.einsum("fij,fij->f", p.conj(), q).real) for p, q in zip(t1, t2))
@@ -366,12 +365,12 @@ def refine(b: np.ndarray, phi: MeasurementMap, yhat: Tensor3, r: int) -> Tensor3
     1 <= r <= min(n1, n2); otherwise raises RankOutOfRange.
     Returns the iterate of least misfit, of tubal rank at most r, or a copy
     of yhat when none fits better, deterministically. Raises ValueError when
-    b holds a non-finite value.
+    b or yhat holds a non-finite value.
     """
     n1, n2, n3 = phi.dims
     if not 1 <= r <= min(n1, n2):
         raise RankOutOfRange(f"refit rank {r} outside [1, {min(n1, n2)}]")
-    yhat = np.asarray(yhat, dtype=np.float64)
+    yhat = as_tensor3(yhat)
     if yhat.shape != phi.dims:
         raise ShapeMismatch(f"estimate shape {yhat.shape} does not match map dims {phi.dims}")
     b = np.asarray(b, dtype=np.float64).ravel()
@@ -391,7 +390,7 @@ def refine(b: np.ndarray, phi: MeasurementMap, yhat: Tensor3, r: int) -> Tensor3
     for it in range(REFINE_MAX_ITERS + 1):
         # each slice transposed, conj(v) diag(s) u'
         ut = u.transpose(0, 2, 1)
-        x = _to_tensor((v.conj() * s[:, None, :]) @ ut, n3)
+        x = from_spectrum((v.conj() * s[:, None, :]) @ ut, n3)
         res = whiten(phi, apply(phi, x)) - wb
         misfit = frobenius_norm(res)
         if it and misfit < best:
@@ -404,7 +403,7 @@ def refine(b: np.ndarray, phi: MeasurementMap, yhat: Tensor3, r: int) -> Tensor3
         obj = new
         if it == REFINE_MAX_ITERS:
             break
-        z = np.fft.rfft(backproject(phi, res), axis=2).transpose(2, 0, 1)
+        z = spectrum(backproject(phi, res)).transpose(0, 2, 1)
         m, up, vp = _tangent(u, v, z @ v, _ct(z) @ u)
         g = (m + lam * np.eye(r), up, vp)
         gg = _inner(w, g, g)
@@ -417,7 +416,7 @@ def refine(b: np.ndarray, phi: MeasurementMap, yhat: Tensor3, r: int) -> Tensor3
             d, slope = tuple(-p for p in g), -gg
         m, up, vp = d
         step_t = v.conj() @ (u @ m + up).transpose(0, 2, 1) + vp.conj() @ ut
-        step = whiten(phi, apply(phi, _to_tensor(step_t, n3)))
+        step = whiten(phi, apply(phi, from_spectrum(step_t, n3)))
         curvature = float(step @ step)
         if not (slope < 0.0 and curvature > 0.0):
             break

@@ -9,7 +9,12 @@ first ``n3 // 2 + 1`` slices are ever computed and the rest are mirrored.
 
 Entry ``(i, j, k)`` of a tensor lives at linear offset
 ``k*n1*n2 + j*n1 + i`` (zero-based), which is Fortran order for shape
-``(n1, n2, n3)``; serialization and masks rely on that layout.
+``(n1, n2, n3)``; serialization and masks rely on that layout. Every
+whole-tensor transform goes through ``spectrum`` and ``from_spectrum``,
+which hold the half-spectrum slices transposed, ``(h, n2, n1)``: the
+layout ``rfft`` gives a Fortran-ordered tensor, so a Fortran-ordered
+tensor's slices need no copy, and the tensors ``from_spectrum`` returns
+are Fortran ordered.
 """
 
 from __future__ import annotations
@@ -26,6 +31,14 @@ Tensor3 = np.ndarray
 T3B_MAGIC = b"T3B1"
 
 
+def tensor_dims(dims) -> tuple:
+    """dims as a tuple of three positive ints; raises ShapeMismatch otherwise."""
+    dims = tuple(dims)
+    if len(dims) != 3 or not all(isinstance(d, (int, np.integer)) and d >= 1 for d in dims):
+        raise ShapeMismatch(f"dims must be three positive integers, got {dims}")
+    return tuple(int(d) for d in dims)
+
+
 def as_tensor3(data) -> Tensor3:
     """Coerce array-like data to a valid float64 tensor of order three.
 
@@ -40,21 +53,32 @@ def as_tensor3(data) -> Tensor3:
     return arr
 
 
+def spectrum(a: np.ndarray) -> np.ndarray:
+    """The n3 // 2 + 1 leading DFT slices of real tensors (..., n1, n2, n3),
+    each transposed: shape (..., h, n2, n1)."""
+    return np.fft.rfft(a, axis=-1).swapaxes(-1, -3)
+
+
+def from_spectrum(slices_t: np.ndarray, n3: int) -> np.ndarray:
+    """The real tensors (..., n1, n2, n3) whose spectrum is slices_t, each
+    Fortran ordered."""
+    # C order here is Fortran order for each tensor after the swap; numpy 2's
+    # irfft returns it already, so this copies only where numpy 1.x does not
+    return np.ascontiguousarray(np.fft.irfft(slices_t, n=n3, axis=-3)).swapaxes(-1, -3)
+
+
 def tprod(a: Tensor3, b: Tensor3) -> Tensor3:
-    """Tensor product of a (n1 x n2 x n3) with b (n2 x l x n3).
+    """Tensor product of a (n1 x n2 x n3) with b (n2 x l x n3), Fortran ordered.
 
     Equals the block-circulant matrix of a times the stacked frontal slices
-    of b, but is computed slice-wise in the DFT domain at FFT cost. Only the
-    leading half spectrum is multiplied; the mirrored slices follow from
-    conjugate symmetry.
+    of b, but is computed slice-wise in the DFT domain at FFT cost, as
+    (a_f b_f)^T = b_f^T a_f^T on the transposed slices. Only the leading half
+    spectrum is multiplied; the mirrored slices follow from conjugate
+    symmetry.
     """
     if a.ndim != 3 or b.ndim != 3 or a.shape[1] != b.shape[0] or a.shape[2] != b.shape[2]:
         raise ShapeMismatch(f"cannot multiply tensors of shapes {a.shape} and {b.shape}")
-    n3 = a.shape[2]
-    ah = np.fft.rfft(a, axis=2).transpose(2, 0, 1)
-    bh = np.fft.rfft(b, axis=2).transpose(2, 0, 1)
-    ch = ah @ bh
-    return np.fft.irfft(ch.transpose(1, 2, 0), n=n3, axis=2)
+    return from_spectrum(spectrum(b) @ spectrum(a), a.shape[2])
 
 
 def frobenius_norm(a: np.ndarray) -> float:
@@ -76,7 +100,7 @@ def write_t3b(path, a: Tensor3) -> None:
     within each frontal slice, slices consecutive.
     """
     a = as_tensor3(a)
-    n1, n2, n3 = a.shape
+    n1, n2, n3 = tensor_dims(a.shape)
     with open(path, "wb") as fh:
         fh.write(T3B_MAGIC)
         fh.write(struct.pack("<3I", n1, n2, n3))
@@ -84,7 +108,7 @@ def write_t3b(path, a: Tensor3) -> None:
 
 
 def read_t3b(path) -> Tensor3:
-    """Read a tensor written by :func:`write_t3b`."""
+    """Read a tensor written by :func:`write_t3b`, in the file's Fortran order."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 16 or blob[:4] != T3B_MAGIC:
@@ -97,8 +121,8 @@ def read_t3b(path) -> Tensor3:
         raise FileFormatError(
             f"{path}: payload holds {len(blob) - 16} bytes, expected {8 * count}"
         )
-    values = np.frombuffer(blob, dtype="<f8", offset=16)
-    arr = values.reshape((n1, n2, n3), order="F")
+    arr = np.frombuffer(blob, dtype="<f8", offset=16).reshape((n1, n2, n3), order="F")
     if not np.all(np.isfinite(arr)):
         raise FileFormatError(f"{path}: tensor entries must be finite")
-    return np.ascontiguousarray(arr)
+    # a writable copy of the read-only buffer, in the file's own order
+    return arr.copy(order="F")

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import NumericalFailure, RankOutOfRange
 from .measure import ENSEMBLES, MeasurementMap, apply
-from .tensor import Tensor3
+from .tensor import Tensor3, from_spectrum, spectrum, tensor_dims
 
 # a block of probes holds count * max(N, m) <= PROBE_BLOCK_ENTRIES entries
 # in its probe stack and in its measurements (at least one probe)
@@ -43,7 +43,7 @@ class TripStudyConfig:
     ensemble: str = "gaussian"
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        object.__setattr__(self, "dims", tensor_dims(self.dims))
         object.__setattr__(self, "m_grid", tuple(int(m) for m in self.m_grid))
         if self.r < 1 or self.r > min(self.dims[0], self.dims[1]):
             raise RankOutOfRange(f"probe rank {self.r} outside [1, {min(self.dims[:2])}]")
@@ -69,20 +69,19 @@ def _orthonormal_spectrum(g: np.ndarray) -> np.ndarray:
     # g is (count, n, width, n3); QR-orthonormalize every leading DFT slice
     # of every probe at once, returning slices shaped (count, h, n, width),
     # the spectrum of a tensor with orthonormal lateral slices
-    gh = np.fft.rfft(g, axis=3).transpose(0, 3, 1, 2)
-    q, _ = np.linalg.qr(gh)
-    return q
+    return np.linalg.qr(spectrum(g).swapaxes(-1, -2))[0]
 
 
 def _sample_probes(dims, r: int, count: int, rng) -> np.ndarray:
     """Stack of ``count`` random unit-norm tubal-rank-r tensors.
 
-    Returns shape (count, n1, n2, n3). Probe i uses the i-th row of one
-    standard normal draw, split into the Gaussian blocks for U (n1 x r x n3)
-    and V (n2 x r x n3) and the r singular tubes, in that order. Each probe
-    is U * S * V^T, built slice-wise in the DFT domain and normalized.
+    Returns shape (count, n1, n2, n3), each probe Fortran ordered. Probe i
+    uses the i-th row of one standard normal draw, split into the Gaussian
+    blocks for U (n1 x r x n3) and V (n2 x r x n3) and the r singular tubes,
+    in that order. Each probe is U * S * V^T, built slice-wise in the DFT
+    domain and normalized.
     """
-    n1, n2, n3 = (int(d) for d in dims)
+    n1, n2, n3 = tensor_dims(dims)
     if not 1 <= r <= min(n1, n2):
         raise RankOutOfRange(f"probe rank {r} outside [1, {min(n1, n2)}]")
     nu, nv = n1 * r * n3, n2 * r * n3
@@ -90,15 +89,13 @@ def _sample_probes(dims, r: int, count: int, rng) -> np.ndarray:
     uh = _orthonormal_spectrum(draws[:, :nu].reshape(count, n1, r, n3))
     vh = _orthonormal_spectrum(draws[:, nu:nu + nv].reshape(count, n2, r, n3))
     sh = np.fft.rfft(draws[:, nu + nv:].reshape(count, r, n3), axis=2).transpose(0, 2, 1)
-    # slice k of each probe, transposed: conj(V_k) diag(s_k) U_k^T, so the
-    # inverse FFT lands in the storage order (count, n3, n2, n1)
-    xh_t = (vh.conj() * sh[:, :, None, :]) @ uh.transpose(0, 1, 3, 2)
-    flat = np.fft.irfft(xh_t, n=n3, axis=1).reshape(count, -1)
-    norms = np.sqrt(np.einsum("ij,ij->i", flat, flat))
+    # slice k of each probe, transposed: conj(V_k) diag(s_k) U_k^T
+    x = from_spectrum((vh.conj() * sh[:, :, None, :]) @ uh.transpose(0, 1, 3, 2), n3)
+    norms = np.sqrt(np.einsum("ijkl,ijkl->i", x, x))
     if np.any(norms == 0.0):
         raise NumericalFailure("degenerate zero draw for a rank-r probe")
-    flat /= norms[:, None]
-    return flat.reshape(count, n3, n2, n1).transpose(0, 3, 2, 1)
+    x /= norms[:, None, None, None]
+    return x
 
 
 def sample_rank_r_unit(dims, r: int, rng) -> Tensor3:
@@ -106,9 +103,9 @@ def sample_rank_r_unit(dims, r: int, rng) -> Tensor3:
 
     Factors come from per-slice QR of Gaussian blocks, the singular tubes
     from Gaussian draws, and the product is normalized. One call draws what
-    one probe of ``empirical_delta`` draws.
+    one probe of ``empirical_delta`` draws. The probe is Fortran ordered.
     """
-    return np.ascontiguousarray(_sample_probes(dims, r, 1, rng)[0])
+    return _sample_probes(dims, r, 1, rng)[0]
 
 
 def empirical_delta(phi: MeasurementMap, dims, r: int, n_samples: int, rng) -> float:

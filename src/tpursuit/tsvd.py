@@ -2,14 +2,18 @@
 
 The decomposition factors only the leading ``n3 // 2 + 1`` DFT slices; the
 remaining slices are conjugate mirrors, so the inverse transform returns
-real factors. To keep k triplets of a slice it takes the k leading
-eigenvectors of the slice's Gram matrix on its smaller side and runs a thin
-SVD of the slice times those vectors. At k = min(n1, n2) the eigenvectors
-form a unitary basis, so the same path, ``truncated_tsvd(a, min(n1, n2))``,
-gives the full decomposition. The slices are split across the CPUs the
-process may run on. Each left singular vector is rotated so that its
-largest-magnitude entry is real and nonnegative, which pins the per-slice
-phase and makes the factors deterministic.
+real factors. It takes them from ``tensor.spectrum``, transposed, and
+factors them as they are when n2 >= n1 and transposed back otherwise, so
+the stack it factors has at least as many rows as columns; for n2 >= n1
+a Fortran-ordered input is not copied on numpy 2. To keep k triplets of a
+slice it takes the k leading eigenvectors of the slice's Gram matrix on
+its smaller side and runs a thin SVD of the slice times those vectors. At
+k = min(n1, n2) the eigenvectors form a unitary basis, so the same path,
+``truncated_tsvd(a, min(n1, n2))``, gives the full decomposition. The
+slices are split across the CPUs the process may run on. Each left
+singular vector is rotated so that its largest-magnitude entry is real and
+nonnegative, which pins the per-slice phase and makes the factors
+deterministic.
 
 Rank-one atoms are built from the inverse-transformed factors without
 another Fourier pass: the t-product with a single tube is a circular
@@ -28,7 +32,7 @@ import numpy as np
 
 from .errors import NumericalFailure, RankOutOfRange
 # perfbench's tracer finds the tensor.tprod layer through this module's tprod
-from .tensor import Tensor3, tprod
+from .tensor import Tensor3, from_spectrum, spectrum, tprod
 
 RANK_REL_TOL = 1e-10
 
@@ -123,11 +127,11 @@ def _leading_triplets(stack: np.ndarray, k: int):
 def _assemble(u, sig, vh, n3: int) -> TSVDFactors:
     """Inverse-transform half-spectrum factors."""
     k = sig.shape[1]
-    u_t = np.fft.irfft(u.transpose(1, 2, 0), n=n3, axis=2)
-    v_t = np.fft.irfft(vh.conj().transpose(2, 1, 0), n=n3, axis=2)
-    s_t = np.zeros((k, k, n3))
+    s_t = np.zeros((k, k, n3), order="F")
     s_t[np.arange(k), np.arange(k), :] = np.fft.irfft(sig.T, n=n3, axis=1)
-    return TSVDFactors(u=u_t, s=s_t, v=v_t)
+    # v's slices are vh^H, so transposed they are conj(vh)
+    return TSVDFactors(u=from_spectrum(u.transpose(0, 2, 1), n3), s=s_t,
+                       v=from_spectrum(vh.conj(), n3))
 
 
 def truncated_tsvd(a: Tensor3, k: int) -> TSVDFactors:
@@ -141,7 +145,8 @@ def truncated_tsvd(a: Tensor3, k: int) -> TSVDFactors:
     eigendecomposition of its Gram matrix on the smaller side; a thin SVD of
     the slice times them gives orthonormal left vectors and the singular
     values. The slices are factored on every CPU in the process's affinity
-    mask, and the result does not depend on how many there are. Raises
+    mask, and the result does not depend on how many there are, nor on the
+    input's memory order; u, s and v are Fortran ordered. Raises
     NumericalFailure when a slice cannot be factored, such as for an input
     holding NaN or an infinity.
     """
@@ -154,17 +159,19 @@ def slice_factors(a: Tensor3, k: int):
     n1, n2, n3 = a.shape
     if not 1 <= k <= min(n1, n2):
         raise RankOutOfRange(f"truncation width {k} outside [1, {min(n1, n2)}]")
-    stack = np.fft.rfft(np.asarray(a, dtype=np.float64), axis=2).transpose(2, 0, 1)
-    wide = n1 < n2
-    if wide:
-        # factor the conjugate transpose so the Gram is on the smaller side
-        stack = stack.conj().transpose(0, 2, 1)
+    slices_t = spectrum(np.asarray(a, dtype=np.float64))
+    # factor the orientation with at least as many rows as columns, so the
+    # Gram is on the smaller side; the transposed slices of a
+    # Fortran-ordered tensor are contiguous already and are not copied
+    transposed = n2 >= n1
+    stack = slices_t if transposed else slices_t.transpose(0, 2, 1)
     try:
         u, sig, vh = _over_slices(_leading_triplets, np.ascontiguousarray(stack), k)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure("slice factorization did not converge") from exc
-    if wide:
-        u, vh = vh.conj().transpose(0, 2, 1), u.conj().transpose(0, 2, 1)
+    if transposed:
+        # a_f^T = u diag(sig) vh, so a_f = vh^T diag(sig) u^T
+        u, vh = vh.transpose(0, 2, 1), u.transpose(0, 2, 1)
     u, vh = _fix_phase(u, vh)
     return u, sig, vh
 

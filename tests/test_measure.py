@@ -11,7 +11,9 @@ import pytest
 import scipy.linalg
 
 from tpursuit import measure as ms
-from tpursuit.tsvd import leading_atoms
+from tpursuit.tensor import read_t3b, tprod, write_t3b
+from tpursuit.trip import sample_rank_r_unit
+from tpursuit.tsvd import leading_atoms, truncated_tsvd
 from tpursuit.errors import (
     EmptyMask,
     FileFormatError,
@@ -155,6 +157,22 @@ def test_dense_entry_limit_guard():
     m_bad = ms.DENSE_ENTRY_LIMIT // (8 * 8 * 4) + 1
     with pytest.raises(ValueError):
         ms.gaussian_ensemble(m_bad, dims, seed=0)
+
+
+def test_dense_maps_take_three_positive_dims_and_a_whole_row_count():
+    for dims in ((0, 2, 2), (-2, -2, 1), (2, 2), (1, 2, 2, 1), (2.5, 2, 2)):
+        n = max(0, int(np.prod(dims)))
+        with pytest.raises(ShapeMismatch, match="three positive integers"):
+            ms.DenseMap(np.ones((1, n)), dims)
+    assert ms.DenseMap(np.ones((1, 4)), (1, 2, 2)).dims == (1, 2, 2)
+    for make in (ms.gaussian_ensemble, ms.rademacher_ensemble):
+        # 2.7 rows scaled by 1/sqrt(2.7) would break E||phi(x)||^2 = ||x||^2
+        for m in (2.7, 2.0, 0, -1, "3"):
+            with pytest.raises(ValueError, match="integer >= 1"):
+                make(m, (2, 2, 2), seed=0)
+        with pytest.raises(ShapeMismatch):
+            make(3, (2, 2, 0), seed=0)
+        assert make(np.int64(3), (2, 2, 2), seed=0).m == 3
 
 
 def test_random_mask_count_and_determinism():
@@ -330,7 +348,7 @@ def test_backproject_is_the_adjoint_of_whitened_measurement():
             assert abs(lhs - rhs) <= 1e-10 * abs(rhs)
 
 
-def test_preimages_and_atoms_stay_in_storage_order():
+def test_preimages_and_atoms_stay_in_storage_order(tmp_path):
     # the pursuit's residuals and atoms are Fortran ordered, so vectorizing
     # an atom for apply is a view and not a copy
     dims = (6, 5, 4)
@@ -343,6 +361,17 @@ def test_preimages_and_atoms_stay_in_storage_order():
     for at in atoms:
         assert at.atom.shape == dims and at.atom.flags.f_contiguous
         assert np.shares_memory(ms._vec(at.atom), at.atom)
+    # so are the tensors built from a half spectrum, whatever the input's order
+    for a in (residual, np.ascontiguousarray(residual)):
+        assert tprod(a, np.ascontiguousarray(a[:5, :, :])).flags.f_contiguous
+        factors = truncated_tsvd(a, 3)
+        assert all(t.flags.f_contiguous for t in (factors.u, factors.s, factors.v))
+    probe = sample_rank_r_unit(dims, 2, rng)
+    assert probe.shape == dims and probe.flags.f_contiguous
+    write_t3b(tmp_path / "a.t3b", np.ascontiguousarray(residual))
+    back = read_t3b(tmp_path / "a.t3b")
+    assert back.flags.f_contiguous and back.flags.writeable
+    np.testing.assert_array_equal(back, residual)
 
 
 def test_importing_the_package_leaves_scipy_unloaded():

@@ -534,3 +534,8 @@ def test_refine_rejects_non_finite_measurements():
         b_bad[phi.m // 2] = bad
         with pytest.raises(ValueError, match="finite"):
             pu.refine(b_bad, phi, yhat, 2)
+        # checked before the estimate's slices are factored
+        yhat_bad = yhat.copy()
+        yhat_bad[1, 2, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            pu.refine(b, phi, yhat_bad, 2)

@@ -21,13 +21,34 @@ def random_tensor(rng, max_dim=5):
     return rng.standard_normal(dims)
 
 
-def test_as_tensor3_validation():
+def test_as_tensor3_validation(tmp_path):
     a = tt.as_tensor3([[[1, 2], [3, 4]]])
     assert a.dtype == np.float64 and a.shape == (1, 2, 2)
     with pytest.raises(ShapeMismatch):
         tt.as_tensor3(np.zeros((2, 2)))
     with pytest.raises(ValueError):
         tt.as_tensor3(np.full((2, 2, 2), np.nan))
+    # read_t3b refuses a zero dimension, so write_t3b writes none
+    with pytest.raises(ShapeMismatch):
+        tt.write_t3b(tmp_path / "empty.t3b", np.zeros((2, 0, 2)))
+    assert not (tmp_path / "empty.t3b").exists()
+
+
+@pytest.mark.parametrize("shape", [(3, 4, 5), (4, 3, 6), (2, 5, 1), (5, 2, 2), (3, 2, 4, 5)])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_from_spectrum_inverts_spectrum(shape, order):
+    a = np.asarray(np.random.default_rng(118).standard_normal(shape), order=order)
+    n3 = shape[-1]
+    slices_t = tt.spectrum(a)
+    # the leading DFT slices of every tensor, each transposed
+    want = np.fft.fft(a, axis=-1)[..., :n3 // 2 + 1].swapaxes(-1, -3)
+    assert slices_t.shape == shape[:-3] + (n3 // 2 + 1, shape[-2], shape[-3])
+    np.testing.assert_allclose(slices_t, want, rtol=0, atol=1e-13)
+    back = tt.from_spectrum(slices_t, n3)
+    assert back.shape == shape
+    np.testing.assert_allclose(back, a, rtol=0, atol=1e-14)
+    for x in (back if back.ndim == 4 else [back]):
+        assert x.flags.f_contiguous
 
 
 def test_fft3_matches_dft_matrix():

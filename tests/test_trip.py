@@ -8,7 +8,7 @@ import pytest
 from oracles import conj_transpose
 from tpursuit import trip
 from tpursuit.cli import STUDY_HEADER, write_study_csv
-from tpursuit.errors import RankOutOfRange
+from tpursuit.errors import RankOutOfRange, ShapeMismatch
 from tpursuit.measure import apply, dense_map, gaussian_ensemble, random_mask, sampling_map
 from tpursuit.tensor import frobenius_norm, tprod
 from tpursuit.tsvd import tubal_rank
@@ -52,7 +52,7 @@ def test_probe_blocks_match_the_per_probe_construction(dims, r):
     single_rng = np.random.default_rng(504)
     one = trip.sample_rank_r_unit(dims, r, single_rng)
     np.testing.assert_allclose(one, want[0], rtol=0, atol=1e-13)
-    assert one.flags.c_contiguous
+    assert one.flags.f_contiguous
 
 
 @pytest.mark.parametrize("dims,r", PROBE_SHAPES)
@@ -142,6 +142,12 @@ def test_study_config_validation():
         trip.TripStudyConfig(dims=(3, 3, 2), r=1, m_grid=(8,), n_samples=0)
     with pytest.raises(ValueError):
         trip.TripStudyConfig(dims=(3, 3, 2), r=1, m_grid=(8,), ensemble="uniform")
+    # a zero dimension would reach numpy as an FFT of length 0
+    for dims in ((2, 2, 0), (2, 2), (-1, 2, 2), (2, 2, 2, 2), (2.5, 2, 2)):
+        with pytest.raises(ShapeMismatch):
+            trip.TripStudyConfig(dims=dims, r=1, m_grid=(8,))
+        with pytest.raises(ShapeMismatch):
+            trip.sample_rank_r_unit(dims, 1, np.random.default_rng(0))
 
 
 def test_study_csv_format(tmp_path):

@@ -167,6 +167,15 @@ def test_truncated_tsvd_with_one_huge_entry():
         assert is_orthogonal(f.u) and is_orthogonal(f.v)
 
 
+@pytest.mark.parametrize("shape", [(9, 7, 8), (6, 11, 9), (5, 5, 1), (4, 4, 2), (3, 8, 5)])
+def test_truncated_tsvd_is_independent_of_the_input_memory_order(shape):
+    a = np.random.default_rng(216).standard_normal(shape)
+    c, f = truncated_tsvd(np.ascontiguousarray(a), 3), truncated_tsvd(np.asfortranarray(a), 3)
+    np.testing.assert_array_equal(c.u, f.u)
+    np.testing.assert_array_equal(c.s, f.s)
+    np.testing.assert_array_equal(c.v, f.v)
+
+
 @pytest.mark.parametrize("shape", [(9, 7, 8), (6, 11, 9), (5, 5, 1)])
 def test_truncated_tsvd_is_independent_of_the_worker_count(shape, monkeypatch):
     rng = np.random.default_rng(217)
