@@ -5,7 +5,8 @@ Both act on the vectorization of a tensor in its storage layout
 entries; a ``DenseMap`` multiplies by an m x N matrix. Each has the
 methods ``measure``, ``whiten`` and ``backproject`` (the adjoint of whiten
 after measure) on vectors in that layout; the module functions ``apply``,
-``whiten`` and ``backproject`` check shapes and vectorize, then call them.
+``whiten`` and ``backproject`` check shapes and vectorize, then call them;
+``whiten`` also refuses a measured vector holding NaN or an infinity.
 ``pinv_apply`` is backproject after whiten, the Moore-Penrose right
 inverse, so apply(pinv_apply(b)) == b whenever the map has full row rank,
 and pinv_apply(apply(x)) is the orthogonal projection onto the row space.
@@ -21,12 +22,17 @@ import numpy as np
 
 from .errors import (EmptyMask, FileFormatError, NumericalFailure, RankDeficientMap,
                      ShapeMismatch)
-from .tensor import Tensor3, tensor_dims
+from .tensor import Tensor3, positive_int, tensor_dims
 
 MSK_MAGIC = b"MSK1"
 
 # dense matrices are capped at m * N entries to keep memory bounded
 DENSE_ENTRY_LIMIT = 2**24
+
+
+def _check_entries(m: int, n: int) -> None:
+    if m * n > DENSE_ENTRY_LIMIT:
+        raise ValueError(f"dense map of {m}x{n} exceeds the {DENSE_ENTRY_LIMIT} entry limit")
 
 
 def _vec(x: np.ndarray) -> np.ndarray:
@@ -84,7 +90,9 @@ class SamplingMap:
 class DenseMap:
     """Multiplies the vectorized tensor by an explicit m x N sensing matrix.
 
-    dims must be three positive integers; ShapeMismatch otherwise.
+    dims must be three positive integers; ShapeMismatch otherwise. The
+    matrix must be finite, with at least one row and at most
+    DENSE_ENTRY_LIMIT entries; ValueError otherwise.
     """
 
     def __init__(self, matrix: np.ndarray, dims):
@@ -95,10 +103,7 @@ class DenseMap:
             raise ShapeMismatch(f"sensing matrix must be m x {n}, got {matrix.shape}")
         if matrix.shape[0] < 1:
             raise ValueError("a sensing matrix needs at least one row")
-        if matrix.shape[0] * n > DENSE_ENTRY_LIMIT:
-            raise ValueError(
-                f"dense map of {matrix.shape[0]}x{n} exceeds the {DENSE_ENTRY_LIMIT} entry limit"
-            )
+        _check_entries(*matrix.shape)
         if not np.all(np.isfinite(matrix)):
             raise ValueError("sensing matrix entries must be finite")
         self.matrix = matrix
@@ -137,8 +142,6 @@ class DenseMap:
     def whiten(self, v: np.ndarray) -> np.ndarray:
         # U'^-1 v; scipy loads on the first solve, not with the package
         from scipy.linalg import solve_triangular
-        if not np.all(np.isfinite(v)):
-            raise ValueError("measured vectors must be finite")
         return solve_triangular(self._cholesky(), v, trans="T", check_finite=False)
 
     def backproject(self, w: np.ndarray) -> np.ndarray:
@@ -155,24 +158,28 @@ dense_map = DenseMap
 
 
 def _ensemble_shape(m, dims) -> tuple:
-    # the m x N shape of an ensemble's matrix, for m an integer >= 1
-    if not isinstance(m, (int, np.integer)) or m < 1:
-        raise ValueError(f"the measurement count must be an integer >= 1, got {m!r}")
-    return int(m), math.prod(tensor_dims(dims))
+    # the m x N shape of an ensemble's matrix, checked before anything is drawn
+    shape = positive_int(m, "the measurement count"), math.prod(tensor_dims(dims))
+    _check_entries(*shape)
+    return shape
 
 
 def gaussian_ensemble(m: int, dims, seed) -> DenseMap:
     """iid N(0, 1/m) sensing matrix; E||phi(x)||^2 equals ||x||_F^2.
-    Raises ValueError unless m is an integer >= 1."""
+    Raises ValueError unless m is an integer >= 1 and m * N is within
+    DENSE_ENTRY_LIMIT, before drawing."""
+    shape = _ensemble_shape(m, dims)
     rng = np.random.default_rng(seed)
-    return DenseMap(rng.standard_normal(_ensemble_shape(m, dims)) / math.sqrt(m), dims)
+    return DenseMap(rng.standard_normal(shape) / math.sqrt(m), dims)
 
 
 def rademacher_ensemble(m: int, dims, seed) -> DenseMap:
     """iid +-1/sqrt(m) sensing matrix; E||phi(x)||^2 equals ||x||_F^2.
-    Raises ValueError unless m is an integer >= 1."""
+    Raises ValueError unless m is an integer >= 1 and m * N is within
+    DENSE_ENTRY_LIMIT, before drawing."""
+    shape = _ensemble_shape(m, dims)
     rng = np.random.default_rng(seed)
-    signs = rng.integers(0, 2, size=_ensemble_shape(m, dims)).astype(np.float64) * 2.0 - 1.0
+    signs = rng.integers(0, 2, size=shape).astype(np.float64) * 2.0 - 1.0
     return DenseMap(signs / math.sqrt(m), dims)
 
 
@@ -215,26 +222,28 @@ def apply(phi: MeasurementMap, x: Tensor3) -> np.ndarray:
 def pinv_apply(phi: MeasurementMap, b: np.ndarray) -> Tensor3:
     """Minimum-norm preimage of a measurement vector, backproject(whiten(b)).
 
-    Dense maps raise RankDeficientMap when their rows are numerically
-    dependent, NumericalFailure when phi phi' overflows, and ValueError
-    when b holds a non-finite value.
+    Raises what whiten raises for b. Dense maps raise RankDeficientMap when
+    their rows are numerically dependent and NumericalFailure when phi phi'
+    overflows.
     """
-    b = np.asarray(b, dtype=np.float64).ravel()
-    if b.size != phi.m:
-        raise ShapeMismatch(f"measurement vector has length {b.size}, expected {phi.m}")
-    return backproject(phi, whiten(phi, b))
+    return backproject(phi, whiten(phi, np.ravel(b)))
 
 
 def whiten(phi: MeasurementMap, v: np.ndarray) -> np.ndarray:
     """Map measured vectors, of shape (m,) or (m, k), to coordinates where
     the projected-tensor inner product is the plain dot product. Sampling
     maps are row-orthonormal already and return v itself; dense maps solve
-    with U' for the upper Cholesky factor U of phi phi' = U'U, and raise
-    ValueError when v holds a non-finite value.
+    with U' for the upper Cholesky factor U of phi phi' = U'U.
+
+    Every measured vector the package takes passes through here: raises
+    ShapeMismatch unless v has phi.m rows, and ValueError, for either kind
+    of map, when v holds a non-finite value.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.shape[:1] != (phi.m,):
         raise ShapeMismatch(f"measured vectors have shape {v.shape}, expected {phi.m} rows")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("measured vectors must be finite")
     return phi.whiten(v)
 
 

@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import DivergenceDetected, NumericalFailure, RankOutOfRange, ShapeMismatch
 from .measure import MeasurementMap, apply, backproject, pinv_apply, whiten
-from .tensor import Tensor3, as_tensor3, frobenius_norm, from_spectrum, spectrum
+from .tensor import Tensor3, as_tensor3, frobenius_norm, from_spectrum, positive_int, spectrum
 from .tsvd import RANK_REL_TOL, leading_atoms, slice_factors
 
 RATE_SLACK = 1e-8
@@ -66,10 +66,11 @@ REFINE_MAX_ITERS = 2000
 class PursuitConfig:
     """Run parameters.
 
-    r is the target tubal rank, s the number of atoms added per iteration
-    (1 <= s <= r). Iteration k adds min(s, r - s*(k-1)) atoms, so a run
-    takes at most ceil(r / s) iterations and collects at most r atoms. The
-    pursuit draws no randomness.
+    r is the target tubal rank, an integer >= 1 (RankOutOfRange
+    otherwise), and s the number of atoms added per iteration, an integer
+    in [1, r] (ValueError otherwise). Iteration k adds min(s, r - s*(k-1))
+    atoms, so a run takes at most ceil(r / s) iterations and collects at
+    most r atoms. The pursuit draws no randomness.
     """
 
     r: int
@@ -77,10 +78,8 @@ class PursuitConfig:
     variant: str = "standard"
 
     def __post_init__(self):
-        if self.r < 1:
-            raise RankOutOfRange(f"target rank must be positive, got {self.r}")
-        if not 1 <= self.s <= self.r:
-            raise ValueError(f"batch size {self.s} outside [1, r={self.r}]")
+        positive_int(self.r, "target rank r", error=RankOutOfRange)
+        positive_int(self.s, "batch size s", high=self.r)
         if self.variant not in ("standard", "economic"):
             raise ValueError(f"variant must be 'standard' or 'economic', got {self.variant!r}")
 
@@ -207,19 +206,18 @@ def solve_weights_full(factor: ThinQR, wcols: np.ndarray) -> tuple[np.ndarray, n
 
 def solve_weights_economic(wfit: np.ndarray, wcols: np.ndarray,
                            wb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The refit of solve_weights_full over the economic block
+    """solve_weights_full with a fresh factor over the economic block
     [wfit, wcols]: the whitened previous fit and the new atom images.
 
-    Column 0 is scaled to unit norm in a fresh factor and its weight scaled
-    back. Its norm tracks ||b|| while the atom columns have norm at most 1,
-    so unscaled the block's condition number would grow with the scale of
-    b and the rank cutoff would drop a direction. A zero column 0 (before
-    the first atom) is left as it is.
+    Column 0 is scaled to unit norm and its weight scaled back. Its norm
+    tracks ||b|| while the atom columns have norm at most 1, so unscaled
+    the block's condition number would grow with the scale of b and the
+    rank cutoff would drop a direction. A zero column 0 (before the first
+    atom) is left as it is.
     """
     scale = np.linalg.norm(wfit) or 1.0
-    factor = ThinQR(wb, 1 + wcols.shape[1])
-    factor.append(np.column_stack([wfit / scale, wcols]))
-    weights, fit = factor.solve()
+    weights, fit = solve_weights_full(ThinQR(wb, 1 + wcols.shape[1]),
+                                      np.column_stack([wfit / scale, wcols]))
     weights[0] /= scale
     return weights, fit
 
@@ -258,21 +256,17 @@ def run(b: np.ndarray, phi: MeasurementMap, cfg: PursuitConfig) -> PursuitResult
     final weights, of tubal rank at most r. The loop stops after ceil(r/s)
     iterations, or earlier when the residual has no atoms left to peel;
     converged is True exactly when the residual reached zero. Raises
-    RankOutOfRange when cfg.r exceeds min(n1, n2), ValueError when b holds
-    a non-finite value, and NumericalFailure when the norm of pinv(b) or of
-    a residual is not finite.
+    RankOutOfRange when cfg.r exceeds min(n1, n2), what measure.whiten
+    raises for b (ValueError when it holds a non-finite value), and
+    NumericalFailure when the norm of pinv(b) or of a residual is not
+    finite.
     """
-    b = np.asarray(b, dtype=np.float64).ravel()
-    if not np.all(np.isfinite(b)):
-        raise ValueError("measurements must be finite")
-    n1, n2, n3 = phi.dims
-    if cfg.r > min(n1, n2):
-        raise RankOutOfRange(f"target rank {cfg.r} exceeds min(n1, n2) = {min(n1, n2)}")
+    positive_int(cfg.r, "target rank r", high=min(phi.dims[:2]), error=RankOutOfRange)
     residual = pinv_apply(phi, b)
     r0_norm = frobenius_norm(residual)
     if not math.isfinite(r0_norm):
         raise NumericalFailure(f"backprojection norm is {r0_norm}; the measurements overflow")
-    wb = whiten(phi, b)
+    wb = whiten(phi, np.ravel(b))
     # the standard refit's factor; the economic refit builds its own
     factor = ThinQR(wb, cfg.r)
     wfit = np.zeros(phi.m)
@@ -361,22 +355,19 @@ def refine(b: np.ndarray, phi: MeasurementMap, yhat: Tensor3, r: int) -> Tensor3
     Process., 2017). A phase ends once an iteration lowers its objective by
     less than REFINE_STALL of itself; REFINE_MAX_ITERS caps both together.
 
-    yhat has tubal rank at most r, such as run's output, and
-    1 <= r <= min(n1, n2); otherwise raises RankOutOfRange.
+    yhat has tubal rank at most r, such as run's output, and r is an
+    integer in [1, min(n1, n2)]; otherwise raises RankOutOfRange.
     Returns the iterate of least misfit, of tubal rank at most r, or a copy
     of yhat when none fits better, deterministically. Raises ValueError when
-    b or yhat holds a non-finite value.
+    yhat holds a non-finite value, and what measure.whiten raises for b,
+    before it factors anything.
     """
     n1, n2, n3 = phi.dims
-    if not 1 <= r <= min(n1, n2):
-        raise RankOutOfRange(f"refit rank {r} outside [1, {min(n1, n2)}]")
+    r = positive_int(r, "refit rank r", high=min(n1, n2), error=RankOutOfRange)
     yhat = as_tensor3(yhat)
     if yhat.shape != phi.dims:
         raise ShapeMismatch(f"estimate shape {yhat.shape} does not match map dims {phi.dims}")
-    b = np.asarray(b, dtype=np.float64).ravel()
-    if not np.all(np.isfinite(b)):
-        raise ValueError("measurements must be finite")
-    wb = whiten(phi, b)
+    wb = whiten(phi, np.ravel(b))
     u, sig, vh = slice_factors(yhat, min(r + 1, n1, n2))
     # the tensor inner product counts DC and Nyquist once, other slices twice
     w = np.where(2 * np.arange(len(sig)) % n3 == 0, 1.0, 2.0) / n3

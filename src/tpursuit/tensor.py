@@ -39,6 +39,20 @@ def tensor_dims(dims) -> tuple:
     return tuple(int(d) for d in dims)
 
 
+def positive_int(value, name: str, high=None, error=ValueError) -> int:
+    """value as an int when it is an int or numpy integer in [1, high].
+
+    Every count, rank and width the package takes is checked here. Bools
+    and floats are refused, 2.0 too, rather than truncated; anything else
+    raises error, a ValueError subclass, whose message names the rule.
+    """
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1
+            or (high is not None and value > high)):
+        bound = "" if high is None else f" and <= {high}"
+        raise error(f"{name} must be an integer >= 1{bound}, got {value!r}")
+    return int(value)
+
+
 def as_tensor3(data) -> Tensor3:
     """Coerce array-like data to a valid float64 tensor of order three.
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import NumericalFailure, RankOutOfRange
 from .measure import ENSEMBLES, MeasurementMap, apply
-from .tensor import Tensor3, from_spectrum, spectrum, tensor_dims
+from .tensor import Tensor3, from_spectrum, positive_int, spectrum, tensor_dims
 
 # a block of probes holds count * max(N, m) <= PROBE_BLOCK_ENTRIES entries
 # in its probe stack and in its measurements (at least one probe)
@@ -34,6 +34,14 @@ PROBE_BLOCK_ENTRIES = 2**16
 
 @dataclass(frozen=True)
 class TripStudyConfig:
+    """A scaling study's parameters.
+
+    r must be an integer in [1, min(n1, n2)] (RankOutOfRange otherwise);
+    m_grid must hold at least one count, and its entries, n_samples and
+    trials must be integers >= 1 (ValueError otherwise, never a
+    truncation).
+    """
+
     dims: tuple
     r: int
     m_grid: tuple
@@ -44,13 +52,13 @@ class TripStudyConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "dims", tensor_dims(self.dims))
-        object.__setattr__(self, "m_grid", tuple(int(m) for m in self.m_grid))
-        if self.r < 1 or self.r > min(self.dims[0], self.dims[1]):
-            raise RankOutOfRange(f"probe rank {self.r} outside [1, {min(self.dims[:2])}]")
-        if not self.m_grid or any(m < 1 for m in self.m_grid):
-            raise ValueError("m_grid must hold positive measurement counts")
-        if self.n_samples < 1 or self.trials < 1:
-            raise ValueError("n_samples and trials must be positive")
+        object.__setattr__(self, "m_grid", tuple(positive_int(m, "an m_grid entry")
+                                                 for m in self.m_grid))
+        if not self.m_grid:
+            raise ValueError("m_grid must hold at least one measurement count")
+        positive_int(self.r, "probe rank r", high=min(self.dims[:2]), error=RankOutOfRange)
+        positive_int(self.n_samples, "n_samples")
+        positive_int(self.trials, "trials")
         if self.ensemble not in ENSEMBLES:
             raise ValueError(f"ensemble must be one of {sorted(ENSEMBLES)}")
 
@@ -79,11 +87,11 @@ def _sample_probes(dims, r: int, count: int, rng) -> np.ndarray:
     uses the i-th row of one standard normal draw, split into the Gaussian
     blocks for U (n1 x r x n3) and V (n2 x r x n3) and the r singular tubes,
     in that order. Each probe is U * S * V^T, built slice-wise in the DFT
-    domain and normalized.
+    domain and normalized. Raises RankOutOfRange unless r is an integer in
+    [1, min(n1, n2)].
     """
     n1, n2, n3 = tensor_dims(dims)
-    if not 1 <= r <= min(n1, n2):
-        raise RankOutOfRange(f"probe rank {r} outside [1, {min(n1, n2)}]")
+    r = positive_int(r, "probe rank r", high=min(n1, n2), error=RankOutOfRange)
     nu, nv = n1 * r * n3, n2 * r * n3
     draws = rng.standard_normal((count, nu + nv + r * n3))
     uh = _orthonormal_spectrum(draws[:, :nu].reshape(count, n1, r, n3))
@@ -114,8 +122,10 @@ def empirical_delta(phi: MeasurementMap, dims, r: int, n_samples: int, rng) -> f
     A sampled lower bound on the restricted isometry constant: the true
     constant takes a supremum over the whole rank-r set. Probes are drawn
     and measured in blocks of at most PROBE_BLOCK_ENTRIES // max(N, m).
+    Raises ValueError unless n_samples is an integer >= 1, and
+    RankOutOfRange unless r is an integer in [1, min(n1, n2)].
     """
-    n_samples = int(n_samples)
+    n_samples = positive_int(n_samples, "n_samples")
     block = max(1, PROBE_BLOCK_ENTRIES // max(phi.n, phi.m))
     worst = 0.0
     for start in range(0, n_samples, block):

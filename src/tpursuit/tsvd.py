@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import NumericalFailure, RankOutOfRange
 # perfbench's tracer finds the tensor.tprod layer through this module's tprod
-from .tensor import Tensor3, from_spectrum, spectrum, tprod
+from .tensor import Tensor3, from_spectrum, positive_int, spectrum, tprod
 
 RANK_REL_TOL = 1e-10
 
@@ -147,6 +147,7 @@ def truncated_tsvd(a: Tensor3, k: int) -> TSVDFactors:
     values. The slices are factored on every CPU in the process's affinity
     mask, and the result does not depend on how many there are, nor on the
     input's memory order; u, s and v are Fortran ordered. Raises
+    RankOutOfRange unless k is an integer in [1, min(n1, n2)], and
     NumericalFailure when a slice cannot be factored, such as for an input
     holding NaN or an infinity.
     """
@@ -157,8 +158,7 @@ def slice_factors(a: Tensor3, k: int):
     """truncated_tsvd's factors of the half-spectrum DFT slices, (u, sigma, vh)
     of shapes (h, n1, k), (h, k) and (h, k, n2) for h = n3 // 2 + 1."""
     n1, n2, n3 = a.shape
-    if not 1 <= k <= min(n1, n2):
-        raise RankOutOfRange(f"truncation width {k} outside [1, {min(n1, n2)}]")
+    k = positive_int(k, "truncation width k", high=min(n1, n2), error=RankOutOfRange)
     slices_t = spectrum(np.asarray(a, dtype=np.float64))
     # factor the orientation with at least as many rows as columns, so the
     # Gram is on the smaller side; the transposed slices of a
@@ -190,9 +190,10 @@ def leading_atoms(a: Tensor3, s: int) -> list[RankOneAtom]:
     theta_i the tube norm. Only atoms whose tube norm is above RANK_REL_TOL
     times the leading tube norm are kept, tubal_rank's rule, so a zero
     tensor yields an empty list and the result may be shorter than s.
-    Raises RankOutOfRange unless 1 <= s <= min(n1, n2). Atoms are assembled
-    from the time-domain factors; each is a Fortran-ordered view, so its
-    memory is its storage-order vectorization.
+    Raises RankOutOfRange unless s is an integer in [1, min(n1, n2)].
+    Atoms are assembled from the time-domain factors; each is a
+    Fortran-ordered view, so its memory is its storage-order
+    vectorization.
     """
     n1, n2, n3 = a.shape
     factors = truncated_tsvd(a, s)

@@ -355,7 +355,9 @@ def test_non_finite_norms_raise_numerical_failure():
     atoms = leading_atoms(r0, 1)
     for bad in (np.nan, np.inf):
         weights = np.array([bad])
-        wfit = whiten(phi, pu.measured_columns(phi, atoms) @ weights)
+        # a sampling map's whitened fit is its measured fit; whiten itself
+        # refuses a non-finite vector
+        wfit = pu.measured_columns(phi, atoms) @ weights
         with pytest.raises(NumericalFailure, match="residual norm"):
             pu.update_residual(phi, whiten(phi, b), wfit, [frobenius_norm(r0)], 1)
 
