@@ -55,6 +55,19 @@ def _parse_grid(text: str) -> tuple:
         raise ValueError(f"m-grid must be comma-separated integers, got {text!r}")
 
 
+def _seed(text: str) -> int:
+    # numpy's own refusal of a negative seed names neither the flag nor the
+    # value; refuse it here in one line, as main reports a usage error
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        print(f"tpursuit: --seed must be an integer >= 0, got {text!r}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
+    return seed
+
+
 def _noise_sigma(text: str) -> float:
     try:
         sigma = float(text)
@@ -70,7 +83,7 @@ def _add_noise(y: Tensor3, sigma: float, seed: int) -> Tensor3:
     if sigma <= 0:
         return y
     scale = float(np.max(np.abs(y)))
-    rng = np.random.default_rng([int(seed), 1])
+    rng = np.random.default_rng([seed, 1])
     return y + sigma * scale * rng.standard_normal(y.shape)
 
 
@@ -103,7 +116,7 @@ def write_study_csv(path, rows) -> None:
 
 def cmd_synth(args) -> int:
     dims = _parse_dims(args.dims)
-    rng = np.random.default_rng(int(args.seed))
+    rng = np.random.default_rng(args.seed)
     y = sample_rank_r_unit(dims, args.rank, rng)
     y = y * rng.uniform(1.0, 10.0)
     write_t3b(args.out, y)
@@ -139,7 +152,7 @@ def cmd_complete(args) -> int:
         if mask.dims != y.shape:
             raise ShapeMismatch(f"mask dims {mask.dims} do not match tensor {y.shape}")
     else:
-        mask = random_mask(y.shape, args.missing, int(args.seed))
+        mask = random_mask(y.shape, args.missing, args.seed)
     extra = {"mask": args.mask, "missing": None if args.mask else args.missing,
              "observed": mask.p}
     return _recover(args, "complete", y, sampling_map(mask), extra)
@@ -149,7 +162,7 @@ def cmd_sense(args) -> int:
     y = read_t3b(args.infile)
     if not 1 <= args.m <= y.size:
         raise ValueError(f"--m {args.m} outside [1, N] for N = n1*n2*n3 = {y.size}")
-    phi = ENSEMBLES[args.ensemble](args.m, y.shape, seed=int(args.seed))
+    phi = ENSEMBLES[args.ensemble](args.m, y.shape, seed=args.seed)
     return _recover(args, "sense", y, phi, {"ensemble": args.ensemble, "m": args.m})
 
 
@@ -157,7 +170,7 @@ def cmd_trip(args) -> int:
     dims = _parse_dims(args.dims)
     cfg = TripStudyConfig(dims=dims, r=args.rank, m_grid=_parse_grid(args.m_grid),
                           n_samples=args.samples, trials=args.trials,
-                          seed=int(args.seed), ensemble=args.ensemble)
+                          seed=args.seed, ensemble=args.ensemble)
     rows = scaling_study(cfg)
     write_study_csv(args.out, rows)
     _emit({"command": "trip", "dims": list(dims), "rank": args.rank,
@@ -197,7 +210,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rank", type=int, required=True, help="target tubal rank r")
         p.add_argument("--batch", type=int, default=1, help="atoms added per iteration")
         p.add_argument("--variant", choices=("standard", "economic"), default="standard")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
         p.add_argument("--noise-sigma", dest="noise_sigma", type=_noise_sigma, default=0.0,
                        help="additive Gaussian noise level on [0, 1]-normalized intensities")
         p.add_argument("--in", dest="infile", required=True, help="input .t3b tensor")
@@ -207,7 +220,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="draw a random low-tubal-rank tensor")
     p.add_argument("--dims", required=True, help="N1xN2xN3")
     p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 
@@ -232,7 +245,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--ensemble", choices=tuple(ENSEMBLES), default="gaussian")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True, help="study CSV path")
     p.set_defaults(func=cmd_trip)
 

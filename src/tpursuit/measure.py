@@ -114,33 +114,38 @@ class DenseMap:
 
     def _cholesky(self) -> np.ndarray:
         # upper Cholesky factor U of matrix @ matrix.T = U'U, built and
-        # checked on first use. U is the transpose view of numpy's C-ordered
-        # lower factor, so it is column-major, the layout LAPACK reads, and
-        # the solves neither copy nor re-check it.
+        # checked on first use. The Gram is symmetric and C-ordered, so its
+        # transpose view is the same matrix in the column-major layout LAPACK
+        # reads: potrf overwrites it with U in place, the strictly lower part
+        # zeroed, and the solves neither copy nor re-check it. scipy loads
+        # here, on the first factorization, not with the package.
         if self._chol is None:
+            from scipy.linalg import LinAlgError, cholesky
             gram = self.matrix @ self.matrix.T
+            # potrf is not given non-finite input, and the pivot floor is
+            # read before the factor overwrites the Gram's diagonal
+            if not np.all(np.isfinite(gram)):
+                raise NumericalFailure("the Gram matrix of the dense map overflows")
+            floor = 100.0 * gram.shape[0] * np.finfo(np.float64).eps * np.diag(gram).max()
             try:
-                chol = np.linalg.cholesky(gram)
-            except np.linalg.LinAlgError as exc:
+                chol = cholesky(gram.T, lower=False, overwrite_a=True, check_finite=False)
+            except LinAlgError as exc:
                 raise RankDeficientMap(
                     "dense measurement rows are numerically dependent"
                 ) from exc
-            if not np.all(np.isfinite(chol)):
-                raise NumericalFailure("the Gram matrix of the dense map overflows")
             # exactly dependent rows can still factor with a pivot at the
             # rounding floor of the Gram; treat those as deficient too
             pivots = np.diag(chol) ** 2
-            floor = 100.0 * gram.shape[0] * np.finfo(np.float64).eps * np.diag(gram).max()
             if pivots.min() <= floor:
                 raise RankDeficientMap("dense measurement rows are numerically dependent")
-            self._chol = chol.T
+            self._chol = chol
         return self._chol
 
     def measure(self, v: np.ndarray) -> np.ndarray:
         return v @ self.matrix.T
 
     def whiten(self, v: np.ndarray) -> np.ndarray:
-        # U'^-1 v; scipy loads on the first solve, not with the package
+        # U'^-1 v
         from scipy.linalg import solve_triangular
         return solve_triangular(self._cholesky(), v, trans="T", check_finite=False)
 

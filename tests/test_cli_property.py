@@ -1,7 +1,7 @@
 """Property tests for the command line: synth, complete, sense and trip,
 given arbitrary integer flags, exit with a documented code (0, or 2 usage,
 3 I/O, 4 shape, 5 numerical; argparse's own exit counts as 2) and never
-print a traceback.
+print a traceback. A negative --seed is refused at the parser with one line.
 
 Each example draws in-range flags, then may set one of them to an integer
 of at most 0. Inputs are kept small: dims up to 8x8x4, --m-grid entries up
@@ -106,3 +106,25 @@ def test_trip_exits_with_a_documented_code(inputs, dims, rank, seed, samples, tr
     _check(["trip", "--dims", dims, "--rank", rank, "--m-grid", ",".join(map(str, grid)),
             "--samples", samples, "--trials", trials, "--seed", seed,
             "--out", inputs / "study.csv"], corruption)
+
+
+@FUZZ
+@given(command=st.sampled_from(["synth", "complete", "sense", "trip"]),
+       seed=st.integers(-2**63, -1))
+def test_a_negative_seed_exits_2_with_one_line_naming_it(inputs, command, seed):
+    # refused at the parser, before any input is read or drawn
+    argv = {
+        "synth": ["--dims", "4x4x2", "--rank", "1", "--out", inputs / "neg.t3b"],
+        "complete": ["--in", inputs / "big.t3b", "--out", inputs / "neg.t3b", "--rank", "1",
+                     "--missing", "0.5"],
+        "sense": ["--in", inputs / "big.t3b", "--out", inputs / "neg.t3b", "--rank", "1",
+                  "--m", "20"],
+        "trip": ["--dims", "4x4x2", "--rank", "1", "--m-grid", "8", "--samples", "2",
+                 "--trials", "1", "--out", inputs / "neg.csv"],
+    }[command]
+    stderr = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, *map(str, argv), "--seed", str(seed)])
+    assert exc.value.code == cli.EXIT_USAGE
+    assert stderr.getvalue() == f"tpursuit: --seed must be an integer >= 0, got '{seed}'\n"

@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -293,22 +294,52 @@ def test_dense_factor_is_cached_column_major():
     np.testing.assert_allclose(chol.T @ chol, phi.matrix @ phi.matrix.T, atol=1e-12)
 
 
-def test_dense_solves_match_the_per_call_lower_factor_solve():
-    # the cached factor gives bit for bit what solving with numpy's
-    # C-ordered lower factor on every call gives
+def test_dense_factor_is_built_in_the_gram_buffer():
+    # potrf overwrites the Gram with U in place: the factorization holds one
+    # m x m array (8 m^2 bytes), not a copy of it and a separate output
+    phi = ms.gaussian_ensemble(512, (16, 16, 4), seed=23)
+    m = phi.m
+    tracemalloc.start()
+    try:
+        chol = phi._cholesky()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 8 * m * m, peak / (8 * m * m)
+    assert chol.flags.f_contiguous
+    assert np.all(np.tril(chol, -1) == 0)
+    np.testing.assert_allclose(chol.T @ chol, phi.matrix @ phi.matrix.T, atol=1e-12)
+
+
+def _assert_close_to_rounding(got, want):
+    # entries near zero carry the rounding of the whole vector
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+def test_dense_solves_match_the_per_call_factor_solve():
+    # the cached factor gives bit for bit what factoring the Gram with scipy
+    # and solving with that upper factor on every call gives
     rng = np.random.default_rng(309)
     dims = (8, 8, 4)
     phi = ms.gaussian_ensemble(128, dims, seed=19)
-    lower = np.linalg.cholesky(phi.matrix @ phi.matrix.T)
+    gram = phi.matrix @ phi.matrix.T
+    upper = scipy.linalg.cholesky(gram)
+    # numpy's lower factor gives the same solves to rounding
+    lower = np.linalg.cholesky(gram)
     for _ in range(3):
         b = rng.standard_normal(phi.m)
+        got = ms.pinv_apply(phi, b)
+        half = scipy.linalg.solve_triangular(upper, b, trans="T")
+        back = scipy.linalg.solve_triangular(upper, half)
+        np.testing.assert_array_equal(got, (phi.matrix.T @ back).reshape(dims, order="F"))
         half = scipy.linalg.solve_triangular(lower, b, lower=True)
         back = scipy.linalg.solve_triangular(lower, half, lower=True, trans="T")
-        want = (phi.matrix.T @ back).reshape(dims, order="F")
-        np.testing.assert_array_equal(ms.pinv_apply(phi, b), want)
+        _assert_close_to_rounding(got, (phi.matrix.T @ back).reshape(dims, order="F"))
         for v in (b, rng.standard_normal((phi.m, 3))):
-            want = scipy.linalg.solve_triangular(lower, v, lower=True)
-            np.testing.assert_array_equal(ms.whiten(phi, v), want)
+            got = ms.whiten(phi, v)
+            np.testing.assert_array_equal(
+                got, scipy.linalg.solve_triangular(upper, v, trans="T"))
+            _assert_close_to_rounding(got, scipy.linalg.solve_triangular(lower, v, lower=True))
 
 
 def test_whiten_preserves_projected_inner_products():
@@ -375,16 +406,27 @@ def test_preimages_and_atoms_stay_in_storage_order(tmp_path):
 
 
 def test_importing_the_package_leaves_scipy_unloaded():
-    # scipy serves only the dense solves and loads on the first of them
+    # scipy serves only the dense factor and solves, and loads on the first
+    # factorization: not with the package, not when a dense map is built and
+    # not anywhere in completion from sampled entries
     script = (
         "import sys\n"
         "import numpy as np\n"
         "import tpursuit\n"
         "assert 'scipy' not in sys.modules, 'scipy loaded with tpursuit'\n"
-        "phi = tpursuit.gaussian_ensemble(12, (3, 3, 2), seed=1)\n"
+        "dims = (3, 3, 2)\n"
+        "y = tpursuit.sample_rank_r_unit(dims, 1, np.random.default_rng(1))\n"
+        "phi = tpursuit.sampling_map(tpursuit.random_mask(dims, 0.3, seed=1))\n"
+        "b = tpursuit.apply(phi, y)\n"
+        "yhat = tpursuit.run(b, phi, tpursuit.PursuitConfig(r=1)).yhat\n"
+        "tpursuit.refine(b, phi, yhat, 1)\n"
+        "assert 'scipy' not in sys.modules, 'scipy loaded by completion'\n"
+        "phi = tpursuit.gaussian_ensemble(12, dims, seed=1)\n"
+        "assert 'scipy' not in sys.modules, 'scipy loaded by building a dense map'\n"
+        "phi._cholesky()\n"
+        "assert 'scipy' in sys.modules\n"
         "b = np.arange(1.0, 13.0)\n"
         "assert np.allclose(tpursuit.apply(phi, tpursuit.pinv_apply(phi, b)), b)\n"
-        "assert 'scipy' in sys.modules\n"
     )
     src = str(Path(ms.__file__).resolve().parent.parent)
     done = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
