@@ -175,7 +175,10 @@ def gaussian_ensemble(m: int, dims, seed) -> DenseMap:
     DENSE_ENTRY_LIMIT, before drawing."""
     shape = _ensemble_shape(m, dims)
     rng = np.random.default_rng(seed)
-    return DenseMap(rng.standard_normal(shape) / math.sqrt(m), dims)
+    # scaled in place, so the draw is the only m x N buffer
+    matrix = rng.standard_normal(shape)
+    matrix /= math.sqrt(m)
+    return DenseMap(matrix, dims)
 
 
 def rademacher_ensemble(m: int, dims, seed) -> DenseMap:
@@ -184,8 +187,12 @@ def rademacher_ensemble(m: int, dims, seed) -> DenseMap:
     DENSE_ENTRY_LIMIT, before drawing."""
     shape = _ensemble_shape(m, dims)
     rng = np.random.default_rng(seed)
-    signs = rng.integers(0, 2, size=shape).astype(np.float64) * 2.0 - 1.0
-    return DenseMap(signs / math.sqrt(m), dims)
+    # one float copy of the integer draw, then every step in place
+    matrix = rng.integers(0, 2, size=shape).astype(np.float64)
+    matrix *= 2.0
+    matrix -= 1.0
+    matrix /= math.sqrt(m)
+    return DenseMap(matrix, dims)
 
 
 # the dense ensembles by name, as the trip study and the command line take them

@@ -15,11 +15,15 @@ J. Sci. Comput., 2015); they differ only in their columns:
 
 The loop works in whitened measurement space: it holds one fit, the
 whitened image wfit of phi(yhat), and the residual is
-backproject(whiten(b) - wfit); yhat itself is summed once, at the end. The
-standard refit keeps a thin QR factorization of its whitened columns and
-grows it by each batch, so an iteration costs O(m k s) on top of the slice
-factorization instead of refactoring the m x k block, and no other copy of
-the measured columns is kept.
+backproject(whiten(b) - wfit). Of each atom it keeps only its lateral
+slices w and v, atom = w * v', and drops the dense batch once measured;
+yhat is built once, at the end, as the t-product W diag(weights) V' of the
+collected slices. The standard refit keeps a thin QR factorization of its
+whitened columns and grows it by each batch, so an iteration costs
+O(m k s) on top of the slice factorization instead of refactoring the
+m x k block, and no other copy of the measured columns is kept. The
+working set is O(N + r m) for the standard refit and O(N) for the
+economic one, plus the O(r (n1 + n2) n3) slices.
 
 Both make the residual norm nonincreasing, and the decay is bounded by
 ``sqrt(1 - 1/min(n1, n2))`` per iteration regardless of the measurement
@@ -252,14 +256,14 @@ def run(b: np.ndarray, phi: MeasurementMap, cfg: PursuitConfig) -> PursuitResult
     phi : measurement map fixing the tensor dimensions
     cfg : run parameters
 
-    Returns a PursuitResult whose yhat sums the collected atoms with their
-    final weights, of tubal rank at most r. The loop stops after ceil(r/s)
-    iterations, or earlier when the residual has no atoms left to peel;
-    converged is True exactly when the residual reached zero. Raises
-    RankOutOfRange when cfg.r exceeds min(n1, n2), what measure.whiten
-    raises for b (ValueError when it holds a non-finite value), and
-    NumericalFailure when the norm of pinv(b) or of a residual is not
-    finite.
+    Returns a PursuitResult whose yhat, Fortran ordered, sums the collected
+    atoms with their final weights, of tubal rank at most r. The loop stops
+    after ceil(r/s) iterations, or earlier when the residual has no atoms
+    left to peel; converged is True exactly when the residual reached zero.
+    Raises RankOutOfRange when cfg.r exceeds min(n1, n2), what
+    measure.whiten raises for b (ValueError when it holds a non-finite
+    value), and NumericalFailure when the norm of pinv(b) or of a residual
+    is not finite.
     """
     positive_int(cfg.r, "target rank r", high=min(phi.dims[:2]), error=RankOutOfRange)
     residual = pinv_apply(phi, b)
@@ -268,9 +272,12 @@ def run(b: np.ndarray, phi: MeasurementMap, cfg: PursuitConfig) -> PursuitResult
         raise NumericalFailure(f"backprojection norm is {r0_norm}; the measurements overflow")
     wb = whiten(phi, np.ravel(b))
     # the standard refit's factor; the economic refit builds its own
-    factor = ThinQR(wb, cfg.r)
+    factor = ThinQR(wb, cfg.r) if cfg.variant == "standard" else None
+    n1, n2, n3 = phi.dims
+    # the collected atoms' lateral slices, W (n1 x r x n3) and V (n2 x r x n3)
+    wfac, vfac = np.zeros((n1, cfg.r, n3)), np.zeros((n2, cfg.r, n3))
     wfit = np.zeros(phi.m)
-    atoms, coeffs, norms, history = [], np.zeros(0), [r0_norm], []
+    coeffs, norms, history = np.zeros(0), [r0_norm], []
     k = 1
     converged = r0_norm == 0.0
     while cfg.s * (k - 1) < cfg.r and not converged:
@@ -280,26 +287,35 @@ def run(b: np.ndarray, phi: MeasurementMap, cfg: PursuitConfig) -> PursuitResult
             converged = True
             break
         wcols = whiten(phi, measured_columns(phi, batch))
-        if cfg.variant == "standard":
+        # coeffs holds one weight per atom collected before this batch
+        for i, at in enumerate(batch, start=coeffs.size):
+            wfac[:, i], vfac[:, i] = at.w[:, 0], at.v[:, 0]
+        leading_inner = batch[0].tube_norm
+        # only the factors are kept, so the batch's dense atoms are freed here
+        del batch
+        if factor is not None:
             coeffs, wfit = solve_weights_full(factor, wcols)
         else:
             weights, wfit = solve_weights_economic(wfit, wcols, wb)
             coeffs = np.concatenate([weights[0] * coeffs, weights[1:]])
+        # and so are the measured columns, which the refit no longer needs,
+        # before the next slice factorization, an iteration's peak
+        del wcols
         residual = update_residual(phi, wb, wfit, norms, k)
         history.append(IterationRecord(
             k=k,
             residual_norm=norms[-1],
             rate_bound=r0_norm * _decay_factor(phi.dims)**k,
             elapsed_s=time.perf_counter() - started,
-            leading_inner=batch[0].tube_norm,
+            leading_inner=leading_inner,
         ))
-        atoms.extend(batch)
         converged = norms[-1] == 0.0
         k += 1
-    # atoms are Fortran ordered, so the sum runs in storage order
-    yhat = np.zeros(phi.dims, order="F")
-    for c, at in zip(coeffs, atoms):
-        yhat += c * at.atom
+    # yhat = W diag(coeffs) V', one t-product: its transposed DFT slices are
+    # conj(V_f) diag(coeffs) W_f^T
+    count = coeffs.size
+    vt = spectrum(vfac[:, :count]).conj().swapaxes(-1, -2)
+    yhat = from_spectrum((vt * coeffs) @ spectrum(wfac[:, :count]), n3)
     return PursuitResult(yhat=yhat, residual_norms=np.asarray(norms), iterations=k - 1,
                          converged=bool(converged), history=tuple(history))
 

@@ -62,11 +62,15 @@ class RankOneAtom:
 
     ``tube_norm`` is the Frobenius norm of the singular tube the atom was
     peeled from, which equals the inner product of the atom with its source
-    tensor.
+    tensor. ``w`` (n1 x 1 x n3) and ``v`` (n2 x 1 x n3) are its lateral-slice
+    factors, atom = w * v' with w = u * (s / ||s||): the (n1 + n2) n3
+    numbers that describe it, which hold no reference to ``atom``.
     """
 
     tube_norm: float
     atom: Tensor3
+    w: Tensor3
+    v: Tensor3
 
 
 def _fix_phase(u, vh):
@@ -110,17 +114,20 @@ def _over_slices(fn, stack: np.ndarray, *args):
 
 
 def _leading_triplets(stack: np.ndarray, k: int):
-    """k leading singular triplets of each slice of a stack with at least as
-    many rows as columns, as (u, sigma, vh) of widths k."""
+    """k leading singular triplets of each slice of a contiguous stack with
+    at least as many rows as columns, as (u, sigma, vh) of widths k. The
+    stack is scaled in place, so it must be the caller's own copy."""
     # an exact power-of-two scale per slice, undone on sigma, keeps the Gram
     # from overflowing or underflowing where the slice itself does not
     _, exp = np.frexp(np.abs(stack).max(axis=(1, 2)))
-    a = np.ldexp(stack.view(np.float64), -exp[:, None, None]).view(np.complex128)
-    gram = np.matmul(a.conj().transpose(0, 2, 1), a)
+    parts = stack.view(np.float64)
+    np.ldexp(parts, -exp[:, None, None], out=parts)
+    gram = np.matmul(stack.conj().transpose(0, 2, 1), stack)
     v = np.linalg.eigh(gram)[1][:, :, ::-1][:, :, :k]
+    del gram
     # u comes from the thin SVD of a v, never from a v / sigma, so it stays
     # orthonormal on a zero slice and when k exceeds the slice's rank
-    u, sig, zh = np.linalg.svd(a @ v, full_matrices=False)
+    u, sig, zh = np.linalg.svd(stack @ v, full_matrices=False)
     return u, np.ldexp(sig, exp[:, None]), zh @ v.conj().transpose(0, 2, 1)
 
 
@@ -159,14 +166,18 @@ def slice_factors(a: Tensor3, k: int):
     of shapes (h, n1, k), (h, k) and (h, k, n2) for h = n3 // 2 + 1."""
     n1, n2, n3 = a.shape
     k = positive_int(k, "truncation width k", high=min(n1, n2), error=RankOutOfRange)
-    slices_t = spectrum(np.asarray(a, dtype=np.float64))
     # factor the orientation with at least as many rows as columns, so the
     # Gram is on the smaller side; the transposed slices of a
     # Fortran-ordered tensor are contiguous already and are not copied
     transposed = n2 >= n1
-    stack = slices_t if transposed else slices_t.transpose(0, 2, 1)
+    stack = spectrum(np.asarray(a, dtype=np.float64))
+    if not transposed:
+        stack = stack.transpose(0, 2, 1)
+    # either way the stack is private, spectrum's or its contiguous copy,
+    # which replaces it, so each chunk is scaled in place by its worker
+    stack = np.ascontiguousarray(stack)
     try:
-        u, sig, vh = _over_slices(_leading_triplets, np.ascontiguousarray(stack), k)
+        u, sig, vh = _over_slices(_leading_triplets, stack, k)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure("slice factorization did not converge") from exc
     if transposed:
@@ -192,8 +203,9 @@ def leading_atoms(a: Tensor3, s: int) -> list[RankOneAtom]:
     tensor yields an empty list and the result may be shorter than s.
     Raises RankOutOfRange unless s is an integer in [1, min(n1, n2)].
     Atoms are assembled from the time-domain factors; each is a
-    Fortran-ordered view, so its memory is its storage-order
-    vectorization.
+    Fortran-ordered view of one stack of the batch, so its memory is its
+    storage-order vectorization, and each carries its factors w and v,
+    which do not hold that stack.
     """
     n1, n2, n3 = a.shape
     factors = truncated_tsvd(a, s)
@@ -211,6 +223,8 @@ def leading_atoms(a: Tensor3, s: int) -> list[RankOneAtom]:
     # atom, landing in the storage order (count, n3, n2, n1)
     tube = factors.s[diag, diag, :] / theta[:, None]
     w = factors.u[:, :count, :].transpose(1, 0, 2) @ tube[:, lag]
-    v = factors.v[:, :count, :].transpose(1, 0, 2)[:, :, lag].transpose(0, 2, 1, 3)
-    stack = (v.reshape(count, n3 * n2, n3) @ w.transpose(0, 2, 1)).reshape(count, n3, n2, n1)
-    return [RankOneAtom(tube_norm=float(t), atom=stack[i].T) for i, t in enumerate(theta)]
+    vlag = factors.v[:, :count, :].transpose(1, 0, 2)[:, :, lag].transpose(0, 2, 1, 3)
+    stack = (vlag.reshape(count, n3 * n2, n3) @ w.transpose(0, 2, 1)).reshape(count, n3, n2, n1)
+    return [RankOneAtom(tube_norm=float(t), atom=stack[i].T, w=w[i, :, None, :],
+                        v=factors.v[:, i:i + 1, :])
+            for i, t in enumerate(theta)]

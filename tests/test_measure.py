@@ -153,6 +153,30 @@ def test_rademacher_ensemble_entries():
     np.testing.assert_array_equal(phi.matrix, again.matrix)
 
 
+def test_ensembles_scale_their_draw_in_place():
+    # the m x N draw is the only float buffer: no scaled copy (Gaussian), and
+    # one float copy of the integer draw (Rademacher); the entries are those
+    # of the plain expressions, bit for bit
+    m, dims = 256, (8, 8, 8)
+    n = 8 * 8 * 8
+    cases = (
+        (ms.gaussian_ensemble, 1.25,
+         lambda rng: rng.standard_normal((m, n)) / np.sqrt(m)),
+        (ms.rademacher_ensemble, 2.25,
+         lambda rng: (rng.integers(0, 2, size=(m, n)).astype(np.float64) * 2.0 - 1.0)
+         / np.sqrt(m)),
+    )
+    for ensemble, bound, reference in cases:
+        tracemalloc.start()
+        try:
+            phi = ensemble(m, dims, seed=29)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * 8 * m * n, (ensemble.__name__, peak / (8 * m * n))
+        np.testing.assert_array_equal(phi.matrix, reference(np.random.default_rng(29)))
+
+
 def test_dense_entry_limit_guard():
     dims = (8, 8, 4)
     m_bad = ms.DENSE_ENTRY_LIMIT // (8 * 8 * 4) + 1

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -195,6 +196,109 @@ def test_run_stops_at_rank_r_with_a_short_last_batch():
         assert res.iterations == 3
         assert tubal_rank(res.yhat) == 5
         assert not res.converged
+
+
+def _run_and_dense_reference(monkeypatch, b, phi, cfg):
+    """run's result and the sum of the dense atoms it peeled with its final
+    weights, recorded at the leading_atoms and refit call sites."""
+    batches, refits = [], []
+
+    def record_atoms(a, s):
+        batches.append(leading_atoms(a, s))
+        return batches[-1]
+
+    solve = pu.solve_weights_full if cfg.variant == "standard" else pu.solve_weights_economic
+
+    def record_weights(*args):
+        out = solve(*args)
+        refits.append(out[0].copy())
+        return out
+
+    monkeypatch.setattr(pu, "leading_atoms", record_atoms)
+    monkeypatch.setattr(pu, solve.__name__, record_weights)
+    result = pu.run(b, phi, cfg)
+    monkeypatch.undo()
+    coeffs = np.zeros(0)
+    for weights in refits:
+        # the economic weights rescale the previous estimate, then add the batch
+        coeffs = weights if cfg.variant == "standard" else np.concatenate(
+            [weights[0] * coeffs, weights[1:]])
+    want = np.zeros(phi.dims)
+    for c, at in zip(coeffs, [at for batch in batches for at in batch]):
+        want += c * at.atom
+    return result, want
+
+
+@pytest.mark.parametrize("variant", ["standard", "economic"])
+def test_yhat_is_the_weighted_sum_of_the_dense_atoms(variant, monkeypatch):
+    # run keeps only each atom's factors and builds yhat by one t-product; it
+    # equals the sum of the dense atoms, with a ragged last batch (r = 5,
+    # s = 2), on a sampling and a dense map, and after an early stop
+    dims = (8, 7, 4)
+    y = np.random.default_rng(409).standard_normal(dims)
+    cfg = pu.PursuitConfig(r=5, s=2, variant=variant)
+    for phi in (sampling_map(random_mask(dims, 0.5, seed=409)),
+                gaussian_ensemble(150, dims, seed=409)):
+        result, want = _run_and_dense_reference(monkeypatch, apply(phi, y), phi, cfg)
+        assert result.iterations == 3
+        assert frobenius_norm(result.yhat - want) <= 1e-12 * frobenius_norm(want)
+        assert result.yhat.flags.f_contiguous
+    # one observed nonzero entry: the first atom fits it exactly, the
+    # residual reaches zero and the run stops after one iteration
+    phi = sampling_map(random_mask(dims, 0.5, seed=410))
+    spike = np.zeros(phi.n)
+    spike[phi.mask.indices[5]] = 3.0
+    spike = spike.reshape(dims, order="F")
+    result, want = _run_and_dense_reference(monkeypatch, apply(phi, spike), phi, cfg)
+    assert result.converged and result.iterations == 1
+    assert frobenius_norm(result.yhat - want) <= 1e-12 * frobenius_norm(want)
+
+
+def _traced_peak(b, phi, cfg) -> int:
+    tracemalloc.start()
+    try:
+        result = pu.run(b, phi, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.iterations == math.ceil(cfg.r / cfg.s)
+    return peak
+
+
+def test_run_memory_does_not_grow_by_a_dense_tensor_per_atom():
+    # run keeps each atom's factors, not the atom: the economic working set
+    # does not depend on r, and the standard one grows only by the refit's
+    # Q' rows, 8 m bytes per atom
+    dims = (64, 64, 8)
+    y = sample_rank_r_unit(dims, 4, np.random.default_rng(411))
+    phi = sampling_map(random_mask(dims, 0.5, seed=411))
+    b = apply(phi, y)
+    slack = 2**20
+    peaks = {(variant, r): _traced_peak(b, phi, pu.PursuitConfig(r=r, s=2, variant=variant))
+             for variant in ("standard", "economic") for r in (4, 16)}
+    assert peaks["economic", 16] <= peaks["economic", 4] + slack, peaks
+    assert peaks["standard", 16] <= peaks["standard", 4] + 8 * phi.m * 12 + slack, peaks
+
+
+def test_economic_runs_build_no_rank_sized_factor(monkeypatch):
+    # the economic refit factors its s + 1 columns afresh each iteration and
+    # never reserves the standard refit's r rows
+    capacities = []
+
+    class Recording(pu.ThinQR):
+        def __init__(self, wb, capacity):
+            capacities.append(capacity)
+            super().__init__(wb, capacity)
+
+    monkeypatch.setattr(pu, "ThinQR", Recording)
+    dims = (8, 7, 4)
+    phi = sampling_map(random_mask(dims, 0.5, seed=412))
+    b = apply(phi, np.random.default_rng(412).standard_normal(dims))
+    pu.run(b, phi, pu.PursuitConfig(r=6, s=2, variant="economic"))
+    assert capacities == [3, 3, 3]
+    capacities.clear()
+    pu.run(b, phi, pu.PursuitConfig(r=6, s=2, variant="standard"))
+    assert capacities == [6]
 
 
 def test_residuals_monotone_and_within_envelope():

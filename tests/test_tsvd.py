@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import sys
 import threading
+import tracemalloc
 import types
 
 import numpy as np
@@ -14,7 +15,7 @@ from oracles import (conj_transpose, fft3, identity_tensor, inner, is_orthogonal
 import tpursuit.tsvd as tsvd_module
 from tpursuit.tsvd import leading_atoms, truncated_tsvd, tubal_rank
 from tpursuit.errors import NumericalFailure, RankOutOfRange
-from tpursuit.tensor import frobenius_norm, tprod
+from tpursuit.tensor import frobenius_norm, spectrum, tprod
 from tpursuit.trip import sample_rank_r_unit
 
 SHAPES = [(1, 1, 1), (4, 4, 1), (3, 5, 4), (5, 3, 4), (8, 8, 8), (6, 2, 7)]
@@ -317,6 +318,42 @@ def test_atoms_match_their_tprod_definition():
             tube = (f.s[i, i, :] / at.tube_norm).reshape(1, 1, -1)
             want = tprod(tprod(f.u[:, i:i + 1, :], tube), conj_transpose(f.v[:, i:i + 1, :]))
             assert frobenius_norm(at.atom - want) <= 1e-12, (shape, i)
+
+
+def test_atoms_are_the_tprod_of_their_factors():
+    # each atom carries its lateral slices w (n1 x 1 x n3) and v (n2 x 1 x n3),
+    # atom = w * v', in buffers of their own: for odd and even n3, n3 = 2,
+    # and tall and wide slices
+    rng = np.random.default_rng(214)
+    for shape in [(7, 9, 6), (9, 7, 5), (5, 4, 2), (4, 6, 2), (6, 6, 1), (3, 5, 4)]:
+        n1, n2, n3 = shape
+        atoms = leading_atoms(rng.standard_normal(shape), min(n1, n2, 3))
+        for i, at in enumerate(atoms):
+            assert at.w.shape == (n1, 1, n3) and at.v.shape == (n2, 1, n3)
+            assert not np.shares_memory(at.w, at.atom)
+            assert not np.shares_memory(at.v, at.atom)
+            want = tprod(at.w, conj_transpose(at.v))
+            assert frobenius_norm(at.atom - want) <= 1e-12, (shape, i)
+
+
+def test_truncated_tsvd_factors_the_spectrum_in_place():
+    # the stack factored is the spectrum's own buffer (or its one contiguous
+    # copy), scaled in place: at most about three stacks are live at once,
+    # the stack, its Gram and the eigenvectors; the input is left as it was
+    rng = np.random.default_rng(215)
+    for a in (np.asfortranarray(rng.standard_normal((128, 128, 16))),
+              rng.standard_normal((128, 128, 16)), rng.standard_normal((128, 96, 16))):
+        before = a.copy()
+        stack_bytes = spectrum(a).nbytes
+        tracemalloc.start()
+        try:
+            factors = truncated_tsvd(a, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.2 * stack_bytes, (a.shape, peak / stack_bytes)
+        np.testing.assert_array_equal(a, before)
+        assert factors.rho == 8
 
 
 def test_full_atom_set_reconstructs_tensor():
