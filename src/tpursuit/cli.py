@@ -79,12 +79,18 @@ def _noise_sigma(text: str) -> float:
 
 
 def _add_noise(y: Tensor3, sigma: float, seed: int) -> Tensor3:
-    """Additive Gaussian noise with sigma given on [0, 1]-normalized intensities."""
+    """Additive Gaussian noise with sigma given on [0, 1]-normalized intensities.
+
+    Raises ValueError when the noisy tensor overflows."""
     if sigma <= 0:
         return y
     scale = float(np.max(np.abs(y)))
     rng = np.random.default_rng([seed, 1])
-    return y + sigma * scale * rng.standard_normal(y.shape)
+    with np.errstate(over="ignore"):
+        noisy = y + sigma * scale * rng.standard_normal(y.shape)
+    if not np.all(np.isfinite(noisy)):
+        raise ValueError(f"--noise-sigma {sigma:g} overflows the noisy tensor")
+    return noisy
 
 
 def _emit(record: dict) -> None:

@@ -53,7 +53,8 @@ import numpy as np
 
 from .errors import DivergenceDetected, NumericalFailure, RankOutOfRange, ShapeMismatch
 from .measure import MeasurementMap, apply, backproject, pinv_apply, whiten
-from .tensor import Tensor3, as_tensor3, frobenius_norm, from_spectrum, positive_int, spectrum
+from .tensor import (Tensor3, as_tensor3, frobenius_norm, from_spectrum, positive_int, spectrum,
+                     t_transpose, tprod)
 from .tsvd import RANK_REL_TOL, leading_atoms, slice_factors
 
 RATE_SLACK = 1e-8
@@ -311,11 +312,8 @@ def run(b: np.ndarray, phi: MeasurementMap, cfg: PursuitConfig) -> PursuitResult
         ))
         converged = norms[-1] == 0.0
         k += 1
-    # yhat = W diag(coeffs) V', one t-product: its transposed DFT slices are
-    # conj(V_f) diag(coeffs) W_f^T
     count = coeffs.size
-    vt = spectrum(vfac[:, :count]).conj().swapaxes(-1, -2)
-    yhat = from_spectrum((vt * coeffs) @ spectrum(wfac[:, :count]), n3)
+    yhat = tprod(wfac[:, :count] * coeffs[:, None], t_transpose(vfac[:, :count]))
     return PursuitResult(yhat=yhat, residual_norms=np.asarray(norms), iterations=k - 1,
                          converged=bool(converged), history=tuple(history))
 

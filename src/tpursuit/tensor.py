@@ -32,11 +32,13 @@ T3B_MAGIC = b"T3B1"
 
 
 def tensor_dims(dims) -> tuple:
-    """dims as a tuple of three positive ints; raises ShapeMismatch otherwise."""
+    """dims as a tuple of three positive ints, each checked by positive_int;
+    raises ShapeMismatch otherwise."""
     dims = tuple(dims)
-    if len(dims) != 3 or not all(isinstance(d, (int, np.integer)) and d >= 1 for d in dims):
-        raise ShapeMismatch(f"dims must be three positive integers, got {dims}")
-    return tuple(int(d) for d in dims)
+    rule = f"dims must be three positive integers, got {dims}"
+    if len(dims) != 3:
+        raise ShapeMismatch(rule)
+    return tuple(positive_int(d, f"{rule}; each", error=ShapeMismatch) for d in dims)
 
 
 def positive_int(value, name: str, high=None, error=ValueError) -> int:
@@ -79,6 +81,13 @@ def from_spectrum(slices_t: np.ndarray, n3: int) -> np.ndarray:
     # C order here is Fortran order for each tensor after the swap; numpy 2's
     # irfft returns it already, so this copies only where numpy 1.x does not
     return np.ascontiguousarray(np.fft.irfft(slices_t, n=n3, axis=-3)).swapaxes(-1, -3)
+
+
+def t_transpose(a: Tensor3) -> Tensor3:
+    """The t-transpose a' (n2 x n1 x n3) of a real tensor: each frontal slice
+    transposed and slices 2..n3 reversed, so tprod(a, b)' = tprod(b', a')."""
+    n3 = a.shape[2]
+    return a[:, :, -np.arange(n3) % n3].transpose(1, 0, 2)
 
 
 def tprod(a: Tensor3, b: Tensor3) -> Tensor3:

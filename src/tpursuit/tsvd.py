@@ -15,10 +15,9 @@ singular vector is rotated so that its largest-magnitude entry is real and
 nonnegative, which pins the per-slice phase and makes the factors
 deterministic.
 
-Rank-one atoms are built from the inverse-transformed factors without
-another Fourier pass: the t-product with a single tube is a circular
-convolution along the third mode, so each atom is one real matrix product
-over a lag table of its right factor.
+Rank-one atoms are t-products of the inverse-transformed factors through
+``tensor.tprod``, one atom per call, so each costs O(n1 n2 n3) memory
+whatever the tube length.
 """
 
 from __future__ import annotations
@@ -31,8 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailure, RankOutOfRange
-# perfbench's tracer finds the tensor.tprod layer through this module's tprod
-from .tensor import Tensor3, from_spectrum, positive_int, spectrum, tprod
+from .tensor import Tensor3, from_spectrum, positive_int, spectrum, t_transpose, tprod
 
 RANK_REL_TOL = 1e-10
 
@@ -64,7 +62,8 @@ class RankOneAtom:
     peeled from, which equals the inner product of the atom with its source
     tensor. ``w`` (n1 x 1 x n3) and ``v`` (n2 x 1 x n3) are its lateral-slice
     factors, atom = w * v' with w = u * (s / ||s||): the (n1 + n2) n3
-    numbers that describe it, which hold no reference to ``atom``.
+    numbers that describe it, views of the batch's factors that hold no
+    reference to ``atom``, which owns its buffer.
     """
 
     tube_norm: float
@@ -197,34 +196,21 @@ def tubal_rank(a: Tensor3) -> int:
 def leading_atoms(a: Tensor3, s: int) -> list[RankOneAtom]:
     """Peel the s leading rank-one atoms off a tensor.
 
-    Atom i is u(:, i, :) * (s(i, i, :) / theta_i) * v(:, i, :)' with
-    theta_i the tube norm. Only atoms whose tube norm is above RANK_REL_TOL
-    times the leading tube norm are kept, tubal_rank's rule, so a zero
-    tensor yields an empty list and the result may be shorter than s.
-    Raises RankOutOfRange unless s is an integer in [1, min(n1, n2)].
-    Atoms are assembled from the time-domain factors; each is a
-    Fortran-ordered view of one stack of the batch, so its memory is its
-    storage-order vectorization, and each carries its factors w and v,
-    which do not hold that stack.
+    Atom i is w_i * v(:, i, :)' with w_i = u(:, i, :) * (s(i, i, :) / theta_i)
+    and theta_i the tube norm, both t-products through tprod. Only atoms
+    whose tube norm is above RANK_REL_TOL times the leading tube norm are
+    kept, tubal_rank's rule, so a zero tensor yields an empty list and the
+    result may be shorter than s. Raises RankOutOfRange unless s is an
+    integer in [1, min(n1, n2)]. Each atom is a Fortran-ordered tensor with
+    a buffer of its own, so its memory is its storage-order vectorization.
     """
-    n1, n2, n3 = a.shape
     factors = truncated_tsvd(a, s)
     tubes = factors.tube_norms()
     # tube norms are nonincreasing, so the kept atoms are a prefix
     theta = tubes[tubes > RANK_REL_TOL * tubes[0]]
     count = theta.size
-    diag = np.arange(count)
-    idx = np.arange(n3)
-    lag = (idx[None, :] - idx[:, None]) % n3    # [c, t] -> t - c
-    # atom i is w_i * v_i' with w_i = u_i * (s_i / theta_i): as n1 x n3
-    # matrices, w_i is u_i times the tube's circulant tube[lag]. Frontal
-    # slice t of the atom, transposed, is the sum over c of
-    # v_i[:, c - t] w_i[:, c]', one real product of inner width n3 per
-    # atom, landing in the storage order (count, n3, n2, n1)
-    tube = factors.s[diag, diag, :] / theta[:, None]
-    w = factors.u[:, :count, :].transpose(1, 0, 2) @ tube[:, lag]
-    vlag = factors.v[:, :count, :].transpose(1, 0, 2)[:, :, lag].transpose(0, 2, 1, 3)
-    stack = (vlag.reshape(count, n3 * n2, n3) @ w.transpose(0, 2, 1)).reshape(count, n3, n2, n1)
-    return [RankOneAtom(tube_norm=float(t), atom=stack[i].T, w=w[i, :, None, :],
-                        v=factors.v[:, i:i + 1, :])
+    w = tprod(factors.u[:, :count], factors.s[:count, :count] / theta[:, None])
+    return [RankOneAtom(tube_norm=float(t),
+                        atom=tprod(w[:, i:i + 1], t_transpose(factors.v[:, i:i + 1])),
+                        w=w[:, i:i + 1], v=factors.v[:, i:i + 1])
             for i, t in enumerate(theta)]

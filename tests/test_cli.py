@@ -195,6 +195,23 @@ def test_noise_sigma_must_be_finite_and_nonnegative(tmp_path, capsys, command, s
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["complete", "sense"])
+def test_a_noise_level_that_overflows_is_one_usage_error(tmp_path, capsys, command):
+    # the noise is drawn without numpy's overflow warning, and a noisy
+    # tensor that is not finite is refused with one line naming the flag
+    src, _ = synth(tmp_path, capsys)
+    out = tmp_path / "r.t3b"
+    extra = ["--missing", "0.5"] if command == "complete" else ["--m", "40"]
+    code = cli.main([command, "--in", str(src), "--out", str(out), "--rank", "2",
+                     "--noise-sigma", "1e308", *extra])
+    assert code == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "--noise-sigma" in captured.err and "overflow" in captured.err
+    assert not out.exists()
+
+
 def test_complete_missing_input(tmp_path, capsys):
     code, _ = run_cli(
         ["complete", "--in", tmp_path / "absent.t3b", "--out", tmp_path / "r.t3b",

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from tpursuit import measure as ms  # noqa: E402
 from tpursuit import pursuit as pu  # noqa: E402
 from tpursuit import trip  # noqa: E402
-from tpursuit.errors import RankOutOfRange  # noqa: E402
+from tpursuit.errors import RankOutOfRange, ShapeMismatch  # noqa: E402
 from tpursuit.tsvd import leading_atoms, truncated_tsvd  # noqa: E402
 
 FUZZ = settings(max_examples=100, deadline=None, database=None, derandomize=True)
@@ -89,6 +89,29 @@ def test_every_count_and_rank_takes_whole_numbers_in_range(name, call, high, err
                 call(value)
 
     check()
+
+
+# name, call on the dims; every dim goes through positive_int
+DIMS_SITES = [
+    ("SamplingMask", lambda dims: ms.SamplingMask(dims, [0, 1]).dims),
+    ("DenseMap", lambda dims: ms.DenseMap(np.ones((1, 24)), dims).dims),
+    ("random_mask", lambda dims: ms.random_mask(dims, 0.5, seed=0).dims),
+    ("sample_rank_r_unit", lambda dims: trip.sample_rank_r_unit(dims, 1, _rng()).shape),
+    ("TripStudyConfig", lambda dims: trip.TripStudyConfig(dims, 1, (4,)).dims),
+]
+
+
+@pytest.mark.parametrize("name, call", DIMS_SITES, ids=[s[0] for s in DIMS_SITES])
+@pytest.mark.parametrize("bad", [True, False, np.True_, 4.0, np.float64(4.0), 2.5, 0, -1, "4",
+                                 None])
+def test_every_dim_is_a_whole_number(name, call, bad):
+    # a bool is not read as 1 nor a float truncated, on any axis
+    for axis in range(3):
+        dims = list(DIMS)
+        dims[axis] = bad
+        with pytest.raises(ShapeMismatch, match="dims"):
+            call(tuple(dims))
+    assert call(tuple(np.int64(d) for d in DIMS)) == DIMS
 
 
 @pytest.mark.parametrize("phi", [SAMPLING, ms.gaussian_ensemble(12, DIMS, seed=9)],

@@ -233,18 +233,20 @@ def _run_and_dense_reference(monkeypatch, b, phi, cfg):
 def test_yhat_is_the_weighted_sum_of_the_dense_atoms(variant, monkeypatch):
     # run keeps only each atom's factors and builds yhat by one t-product; it
     # equals the sum of the dense atoms, with a ragged last batch (r = 5,
-    # s = 2), on a sampling and a dense map, and after an early stop
-    dims = (8, 7, 4)
-    y = np.random.default_rng(409).standard_normal(dims)
+    # s = 2), on a sampling and a dense map, on a short and a long tube, and
+    # after an early stop
     cfg = pu.PursuitConfig(r=5, s=2, variant=variant)
-    for phi in (sampling_map(random_mask(dims, 0.5, seed=409)),
-                gaussian_ensemble(150, dims, seed=409)):
-        result, want = _run_and_dense_reference(monkeypatch, apply(phi, y), phi, cfg)
-        assert result.iterations == 3
-        assert frobenius_norm(result.yhat - want) <= 1e-12 * frobenius_norm(want)
-        assert result.yhat.flags.f_contiguous
+    for dims in ((8, 7, 4), (8, 7, 64)):
+        y = np.random.default_rng(409).standard_normal(dims)
+        for phi in (sampling_map(random_mask(dims, 0.5, seed=409)),
+                    gaussian_ensemble(150, dims, seed=409)):
+            result, want = _run_and_dense_reference(monkeypatch, apply(phi, y), phi, cfg)
+            assert result.iterations == 3
+            assert frobenius_norm(result.yhat - want) <= 1e-12 * frobenius_norm(want)
+            assert result.yhat.flags.f_contiguous
     # one observed nonzero entry: the first atom fits it exactly, the
     # residual reaches zero and the run stops after one iteration
+    dims = (8, 7, 4)
     phi = sampling_map(random_mask(dims, 0.5, seed=410))
     spike = np.zeros(phi.n)
     spike[phi.mask.indices[5]] = 3.0

@@ -189,6 +189,21 @@ def test_conj_transpose_matches_bcirc_transpose():
         )
 
 
+@pytest.mark.parametrize("shape", [(3, 4, 1), (4, 3, 2), (3, 5, 7), (6, 2, 8)])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_t_transpose_is_the_oracle_and_reverses_products(shape, order):
+    # n3 = 1 and 2, odd and even n3, wide and tall slices, either memory order
+    rng = np.random.default_rng(119)
+    a = np.asarray(rng.standard_normal(shape), order=order)
+    b = rng.standard_normal((shape[1], 3, shape[2]))
+    at = tt.t_transpose(a)
+    assert at.shape == (shape[1], shape[0], shape[2])
+    np.testing.assert_array_equal(at, conj_transpose(a))
+    assert not np.shares_memory(at, a)
+    np.testing.assert_allclose(tt.t_transpose(tt.tprod(a, b)),
+                               tt.tprod(tt.t_transpose(b), at), atol=1e-12)
+
+
 def test_frobenius_norm_matches_spectrum_scaling():
     rng = np.random.default_rng(112)
     for _ in range(20):

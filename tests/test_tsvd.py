@@ -301,10 +301,10 @@ def test_leading_atoms_unit_norm_orthogonal_and_weighted():
 
 
 def test_atoms_match_their_tprod_definition():
-    # leading_atoms assembles each batch in one real product; tprod of the
-    # truncated factors is the reference, for odd and even n3, for n3 = 2
-    # (the smallest lag that wraps around), for tall and wide slices and
-    # for a Fortran-ordered input
+    # leading_atoms builds each atom as tprod(w_i, t_transpose(v_i)); the
+    # t-product of the truncated factors through the oracle's transpose is
+    # the reference, for odd and even n3, for n3 = 2, for tall and wide
+    # slices and for a Fortran-ordered input
     rng = np.random.default_rng(213)
     inputs = [rng.standard_normal(shape) for shape in SHAPES + [(7, 9, 6), (9, 7, 5), (5, 4, 2)]]
     inputs.append(np.asfortranarray(rng.standard_normal((6, 7, 5))))
@@ -334,6 +334,24 @@ def test_atoms_are_the_tprod_of_their_factors():
             assert not np.shares_memory(at.v, at.atom)
             want = tprod(at.w, conj_transpose(at.v))
             assert frobenius_norm(at.atom - want) <= 1e-12, (shape, i)
+
+
+def test_leading_atoms_memory_does_not_grow_with_the_tube_length():
+    # each atom is one t-product, so a batch of s atoms on a long tube peaks
+    # at the atoms themselves plus a few tensors of working space, not at a
+    # table of n3 lags per atom
+    a = np.asfortranarray(np.random.default_rng(216).standard_normal((32, 32, 256)))
+    s = 2
+    tracemalloc.start()
+    try:
+        atoms = leading_atoms(a, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(atoms) == s
+    assert peak <= (s + 3) * a.nbytes, peak / a.nbytes
+    assert all(at.atom.flags.f_contiguous for at in atoms)
+    assert not np.shares_memory(atoms[0].atom, atoms[1].atom)
 
 
 def test_truncated_tsvd_factors_the_spectrum_in_place():
