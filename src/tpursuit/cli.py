@@ -3,7 +3,9 @@
 Subcommands: synth, complete, sense, trip, ingest, export. Every run with
 a fixed seed writes byte-identical files, except for the wall-clock column
 of the metrics CSV. Every command prints a single JSON record on stdout.
-Exit codes: 2 usage, 3 I/O, 4 shape, 5 numerical.
+Exit codes: 2 usage, 3 I/O, 4 shape, 5 numerical. Each refusal is one
+``tpursuit: <message>`` stderr line, written by ``_Parser.error`` (exit 2,
+for the flags and what their type= converters refuse) or by ``main``.
 
 ``complete`` and ``sense`` share one recovery path, ``_recover``; the
 metrics and study CSVs share one writer, which writes floats as %.17g.
@@ -26,7 +28,7 @@ from .errors import (DivergenceDetected, FileFormatError, NumericalFailure,
                      RankDeficientMap, ShapeMismatch)
 from .measure import ENSEMBLES, apply, random_mask, read_msk, sampling_map
 from .pursuit import PursuitConfig, PursuitResult, run as run_pursuit
-from .tensor import Tensor3, read_t3b, rmse, write_t3b
+from .tensor import Tensor3, frobenius_norm, read_t3b, rmse, tensor_dims, write_t3b
 from .trip import TripStudyConfig, sample_rank_r_unit, scaling_study
 
 EXIT_USAGE = 2
@@ -38,58 +40,59 @@ METRICS_HEADER = ("iter", "residual_norm", "rate_bound", "elapsed_ms")
 STUDY_HEADER = ("m", "delta_median", "delta_q1", "delta_q3", "trials", "samples")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses a bad command line in one line, exit 2; its subparsers too."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"tpursuit: {message}\n")
+
+
+def _int_or_text(token: str):
+    # a token that is no int is left for the library's rule to refuse by name
+    try:
+        return int(token)
+    except ValueError:
+        return token
+
+
 def _parse_dims(text: str) -> tuple:
-    parts = text.lower().split("x")
-    if len(parts) != 3:
-        raise ValueError(f"dims must look like N1xN2xN3, got {text!r}")
-    dims = tuple(int(p) for p in parts)
-    if any(d < 1 for d in dims):
-        raise ValueError(f"dims must be positive, got {text!r}")
-    return dims
+    try:
+        return tensor_dims(map(_int_or_text, text.lower().split("x")))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_grid(text: str) -> tuple:
-    try:
-        return tuple(int(tok) for tok in text.split(","))
-    except ValueError:
-        raise ValueError(f"m-grid must be comma-separated integers, got {text!r}")
+    return tuple(map(_int_or_text, text.split(",")))
 
 
-def _seed(text: str) -> int:
-    # numpy's own refusal of a negative seed names neither the flag nor the
-    # value; refuse it here in one line, as main reports a usage error
-    try:
-        seed = int(text)
-    except ValueError:
-        seed = -1
-    if seed < 0:
-        print(f"tpursuit: --seed must be an integer >= 0, got {text!r}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-    return seed
+def _nonnegative(kind):
+    """A type= converter: the text as a kind (int or float) in [0, inf)."""
+    noun = "an integer" if kind is int else "a finite number"
 
-
-def _noise_sigma(text: str) -> float:
-    try:
-        sigma = float(text)
-    except ValueError:
-        sigma = math.nan
-    if not (math.isfinite(sigma) and sigma >= 0.0):
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
-    return sigma
+    def convert(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan
+        if not 0 <= value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be {noun} >= 0, got {text!r}")
+        return value
+    return convert
 
 
 def _add_noise(y: Tensor3, sigma: float, seed: int) -> Tensor3:
     """Additive Gaussian noise with sigma given on [0, 1]-normalized intensities.
 
-    Raises ValueError when the noisy tensor overflows."""
+    Raises ValueError when the noisy tensor's Frobenius norm overflows."""
     if sigma <= 0:
         return y
     scale = float(np.max(np.abs(y)))
     rng = np.random.default_rng([seed, 1])
     with np.errstate(over="ignore"):
         noisy = y + sigma * scale * rng.standard_normal(y.shape)
-    if not np.all(np.isfinite(noisy)):
-        raise ValueError(f"--noise-sigma {sigma:g} overflows the noisy tensor")
+        if not math.isfinite(frobenius_norm(noisy)):
+            raise ValueError(f"--noise-sigma {sigma:g} overflows the noisy tensor")
     return noisy
 
 
@@ -121,12 +124,11 @@ def write_study_csv(path, rows) -> None:
 
 
 def cmd_synth(args) -> int:
-    dims = _parse_dims(args.dims)
     rng = np.random.default_rng(args.seed)
-    y = sample_rank_r_unit(dims, args.rank, rng)
+    y = sample_rank_r_unit(args.dims, args.rank, rng)
     y = y * rng.uniform(1.0, 10.0)
     write_t3b(args.out, y)
-    _emit({"command": "synth", "dims": list(dims), "rank": args.rank,
+    _emit({"command": "synth", "dims": list(args.dims), "rank": args.rank,
            "seed": args.seed, "out": args.out})
     return 0
 
@@ -173,13 +175,12 @@ def cmd_sense(args) -> int:
 
 
 def cmd_trip(args) -> int:
-    dims = _parse_dims(args.dims)
-    cfg = TripStudyConfig(dims=dims, r=args.rank, m_grid=_parse_grid(args.m_grid),
+    cfg = TripStudyConfig(dims=args.dims, r=args.rank, m_grid=args.m_grid,
                           n_samples=args.samples, trials=args.trials,
                           seed=args.seed, ensemble=args.ensemble)
     rows = scaling_study(cfg)
     write_study_csv(args.out, rows)
-    _emit({"command": "trip", "dims": list(dims), "rank": args.rank,
+    _emit({"command": "trip", "dims": list(args.dims), "rank": args.rank,
            "m_grid": list(cfg.m_grid), "samples": args.samples,
            "trials": args.trials, "ensemble": args.ensemble,
            "seed": args.seed, "out": args.out})
@@ -206,7 +207,7 @@ def cmd_export(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tpursuit",
         description="Greedy low-tubal-rank tensor completion and sensing.",
     )
@@ -216,17 +217,17 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rank", type=int, required=True, help="target tubal rank r")
         p.add_argument("--batch", type=int, default=1, help="atoms added per iteration")
         p.add_argument("--variant", choices=("standard", "economic"), default="standard")
-        p.add_argument("--seed", type=_seed, default=0)
-        p.add_argument("--noise-sigma", dest="noise_sigma", type=_noise_sigma, default=0.0,
+        p.add_argument("--seed", type=_nonnegative(int), default=0)
+        p.add_argument("--noise-sigma", dest="noise_sigma", type=_nonnegative(float), default=0.0,
                        help="additive Gaussian noise level on [0, 1]-normalized intensities")
         p.add_argument("--in", dest="infile", required=True, help="input .t3b tensor")
         p.add_argument("--out", required=True, help="output .t3b reconstruction")
         p.add_argument("--metrics", default=None, help="per-iteration CSV path")
 
     p = sub.add_parser("synth", help="draw a random low-tubal-rank tensor")
-    p.add_argument("--dims", required=True, help="N1xN2xN3")
+    p.add_argument("--dims", type=_parse_dims, required=True, help="N1xN2xN3")
     p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_nonnegative(int), default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 
@@ -245,13 +246,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sense)
 
     p = sub.add_parser("trip", help="empirical restricted isometry scaling study")
-    p.add_argument("--dims", required=True, help="N1xN2xN3")
+    p.add_argument("--dims", type=_parse_dims, required=True, help="N1xN2xN3")
     p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--m-grid", dest="m_grid", required=True, help="comma-separated counts")
+    p.add_argument("--m-grid", dest="m_grid", type=_parse_grid, required=True, help="comma-separated counts")
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--ensemble", choices=tuple(ENSEMBLES), default="gaussian")
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_nonnegative(int), default=0)
     p.add_argument("--out", required=True, help="study CSV path")
     p.set_defaults(func=cmd_trip)
 
@@ -270,22 +271,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ShapeMismatch as exc:
-        print(f"tpursuit: {exc}", file=sys.stderr)
-        return EXIT_SHAPE
+        error, code = exc, EXIT_SHAPE
     except (FileFormatError, OSError) as exc:
-        print(f"tpursuit: {exc}", file=sys.stderr)
-        return EXIT_IO
+        error, code = exc, EXIT_IO
     except ValueError as exc:
-        print(f"tpursuit: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        error, code = exc, EXIT_USAGE
     except (NumericalFailure, RankDeficientMap, DivergenceDetected) as exc:
-        print(f"tpursuit: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        error, code = exc, EXIT_NUMERICAL
+    print(f"tpursuit: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -80,28 +80,27 @@ def read_ppm(path) -> np.ndarray:
     return _read_raster(path, 3)
 
 
-def _to_bytes(arr: np.ndarray) -> bytes:
-    return np.clip(np.rint(arr), 0.0, 255.0).astype(np.uint8).tobytes()
+def _write_raster(path, image: np.ndarray, channels: int) -> None:
+    image = np.asarray(image, dtype=np.float64)
+    magic = b"P5" if channels == 1 else b"P6"
+    tail = () if channels == 1 else (channels,)
+    if image.ndim != 2 + len(tail) or image.shape[2:] != tail:
+        raise ShapeMismatch(f"{magic.decode()} images need shape (h, w) + {tail}, "
+                            f"got {image.shape}")
+    height, width = image.shape[:2]
+    with open(path, "wb") as fh:
+        fh.write(magic + b"\n%d %d\n255\n" % (width, height))
+        fh.write(np.clip(np.rint(image), 0.0, 255.0).astype(np.uint8).tobytes())
 
 
 def write_pgm(path, image: np.ndarray) -> None:
-    image = np.asarray(image, dtype=np.float64)
-    if image.ndim != 2:
-        raise ShapeMismatch(f"PGM frames are two dimensional, got shape {image.shape}")
-    height, width = image.shape
-    with open(path, "wb") as fh:
-        fh.write(b"P5\n%d %d\n255\n" % (width, height))
-        fh.write(_to_bytes(image))
+    """Write an (height, width) image as 8-bit P5, rounding and clamping to [0, 255]."""
+    _write_raster(path, image, 1)
 
 
 def write_ppm(path, image: np.ndarray) -> None:
-    image = np.asarray(image, dtype=np.float64)
-    if image.ndim != 3 or image.shape[2] != 3:
-        raise ShapeMismatch(f"PPM images need shape (h, w, 3), got {image.shape}")
-    height, width = image.shape[:2]
-    with open(path, "wb") as fh:
-        fh.write(b"P6\n%d %d\n255\n" % (width, height))
-        fh.write(_to_bytes(image))
+    """Write an (height, width, 3) image as 8-bit P6, rounding and clamping to [0, 255]."""
+    _write_raster(path, image, 3)
 
 
 def ingest_paths(paths) -> np.ndarray:

@@ -205,9 +205,8 @@ def random_mask(dims, missing_ratio: float, seed) -> SamplingMask:
     if not 0.0 <= missing_ratio < 1.0:
         raise ValueError(f"missing_ratio must lie in [0, 1), got {missing_ratio}")
     n = dims[0] * dims[1] * dims[2]
+    # >= 1 for N >= 1, since 1 - missing_ratio >= 2**-53
     keep = math.ceil((1.0 - missing_ratio) * n)
-    if keep < 1:
-        raise EmptyMask("missing_ratio leaves no observed entries")
     rng = np.random.default_rng(seed)
     idx = rng.choice(n, size=keep, replace=False)
     idx.sort()

@@ -268,7 +268,9 @@ def run(b: np.ndarray, phi: MeasurementMap, cfg: PursuitConfig) -> PursuitResult
     """
     positive_int(cfg.r, "target rank r", high=min(phi.dims[:2]), error=RankOutOfRange)
     residual = pinv_apply(phi, b)
-    r0_norm = frobenius_norm(residual)
+    # an overflow is refused below in one message, without numpy's warning
+    with np.errstate(over="ignore"):
+        r0_norm = frobenius_norm(residual)
     if not math.isfinite(r0_norm):
         raise NumericalFailure(f"backprojection norm is {r0_norm}; the measurements overflow")
     wb = whiten(phi, np.ravel(b))

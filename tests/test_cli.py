@@ -191,7 +191,7 @@ def test_noise_sigma_must_be_finite_and_nonnegative(tmp_path, capsys, command, s
                   f"--noise-sigma={sigma}", *extra])
     assert exc.value.code == cli.EXIT_USAGE
     err = capsys.readouterr().err
-    assert "usage:" in err and "--noise-sigma" in err
+    assert err == f"tpursuit: argument --noise-sigma: must be a finite number >= 0, got '{sigma}'\n"
     assert not out.exists()
 
 
@@ -209,6 +209,51 @@ def test_a_noise_level_that_overflows_is_one_usage_error(tmp_path, capsys, comma
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert "--noise-sigma" in captured.err and "overflow" in captured.err
+    assert not out.exists()
+
+
+def _one_refusal(argv, capsys):
+    """The exit code and the one stderr line of a run that prints no record."""
+    code = cli.main([str(a) for a in argv])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("tpursuit: ") and captured.err.count("\n") == 1, captured.err
+    return code, captured.err
+
+
+@pytest.mark.parametrize("command", ["complete", "sense"])
+def test_noise_whose_noisy_norm_overflows_is_one_usage_error(tmp_path, capsys, command):
+    # the noisy entries, about 1e200, are finite, but their Frobenius norm
+    # is not; refused as noise, not left to the pursuit's exit 5
+    src, _ = synth(tmp_path, capsys)
+    out = tmp_path / "r.t3b"
+    extra = ["--missing", "0.5"] if command == "complete" else ["--m", "40"]
+    code, err = _one_refusal([command, "--in", src, "--out", out, "--rank", 2,
+                              "--noise-sigma", "1e200", *extra], capsys)
+    assert code == cli.EXIT_USAGE
+    assert "--noise-sigma 1e+200 overflows" in err
+    assert not out.exists()
+
+
+def test_the_largest_noise_level_on_a_small_tensor_is_one_usage_error(tmp_path, capsys):
+    # max|Y| is below 1, so the noise's scale 1e308 * max|Y| is finite, and
+    # the norm of the noisy tensor overflows
+    src, _ = synth(tmp_path, capsys, dims="32x32x8", rank=2, seed=7)
+    assert np.max(np.abs(read_t3b(src))) < 1.0
+    code, err = _one_refusal(["complete", "--in", src, "--out", tmp_path / "r.t3b",
+                              "--rank", 2, "--missing", 0.5, "--noise-sigma", "1e308"], capsys)
+    assert code == cli.EXIT_USAGE
+    assert "--noise-sigma 1e+308 overflows" in err
+
+
+def test_measurements_whose_norm_overflows_are_one_numerical_failure(tmp_path, capsys):
+    src = tmp_path / "huge.t3b"
+    write_t3b(src, np.full((6, 6, 4), 1e200))
+    out = tmp_path / "r.t3b"
+    code, err = _one_refusal(["complete", "--in", src, "--out", out, "--rank", 2,
+                              "--missing", 0.5], capsys)
+    assert code == cli.EXIT_NUMERICAL
+    assert err == "tpursuit: backprojection norm is inf; the measurements overflow\n"
     assert not out.exists()
 
 

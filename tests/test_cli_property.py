@@ -1,11 +1,14 @@
 """Property tests for the command line: synth, complete, sense and trip,
-given arbitrary integer flags, exit with a documented code (0, or 2 usage,
-3 I/O, 4 shape, 5 numerical; argparse's own exit counts as 2) and never
-print a traceback. A negative --seed is refused at the parser with one line.
+given arbitrary integer flags, and every command given arbitrary text for
+--missing, --noise-sigma, --dims, --m-grid, export --format and the ingest
+--in glob, exit with a documented code (0, or 2 usage, 3 I/O, 4 shape,
+5 numerical; the parser's own refusals exit 2 too). A nonzero exit prints
+exactly one stderr line, starting "tpursuit: ", and so no traceback.
 
-Each example draws in-range flags, then may set one of them to an integer
-of at most 0. Inputs are kept small: dims up to 8x8x4, --m-grid entries up
-to 2^17, --samples and --trials up to 3."""
+Each integer example draws in-range flags, then may set one of them to an
+integer of at most 0. Inputs are kept small: dims up to 8x8x4, --m-grid
+entries up to 2^17, --samples and --trials up to 3; a text example whose
+tokens read as larger counts is discarded."""
 
 import io
 from contextlib import redirect_stderr, redirect_stdout
@@ -14,9 +17,9 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from tpursuit import cli  # noqa: E402
+from tpursuit import cli, frames  # noqa: E402
 from tpursuit.tensor import write_t3b  # noqa: E402
 from tpursuit.trip import sample_rank_r_unit  # noqa: E402
 
@@ -42,10 +45,21 @@ def corruptions(*flags):
 
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
-    """A work directory holding two synthetic tensors to recover."""
+    """A work directory holding two synthetic tensors to recover, and a
+    frames directory that ingest globs match against: two PGM frames of one
+    shape, one of another, a PPM image, a file that is no frame and a
+    .t3b tensor."""
     root = tmp_path_factory.mktemp("cli_property")
     for name, dims in (("big.t3b", (8, 8, 4)), ("thin.t3b", (3, 5, 2))):
         write_t3b(root / name, sample_rank_r_unit(dims, 2, np.random.default_rng(3)))
+    frames_dir = root / "frames"
+    frames_dir.mkdir()
+    for k in range(2):
+        frames.write_pgm(frames_dir / f"frame_{k:04d}.pgm", np.full((4, 3), 40.0 * k))
+    frames.write_pgm(frames_dir / "frame_wide.pgm", np.zeros((4, 5)))
+    frames.write_ppm(frames_dir / "color.ppm", np.zeros((4, 3, 3)))
+    (frames_dir / "notes.pgm").write_bytes(b"P5 not a frame")
+    write_t3b(frames_dir / "tensor.t3b", np.zeros((2, 2, 3)))
     return root
 
 
@@ -64,7 +78,8 @@ def _check(argv, corruption):
     assert code in DOCUMENTED_EXITS, (argv, code, err)
     assert "Traceback" not in err, (argv, err)
     if code:
-        assert "tpursuit" in err, (argv, code, err)
+        assert err.startswith("tpursuit: ") and err.count("\n") == 1, (argv, code, err)
+        assert err.endswith("\n"), (argv, code, err)
     else:
         assert stdout.getvalue().count("\n") == 1, (argv, stdout.getvalue())
 
@@ -127,4 +142,75 @@ def test_a_negative_seed_exits_2_with_one_line_naming_it(inputs, command, seed):
         with pytest.raises(SystemExit) as exc:
             cli.main([command, *map(str, argv), "--seed", str(seed)])
     assert exc.value.code == cli.EXIT_USAGE
-    assert stderr.getvalue() == f"tpursuit: --seed must be an integer >= 0, got '{seed}'\n"
+    assert stderr.getvalue() == f"tpursuit: argument --seed: must be an integer >= 0, got '{seed}'\n"
+
+
+def _small(text, sep, high):
+    """Whether no token of text reads as an int above high, so that a run
+    given text stays small."""
+    for token in text.split(sep):
+        try:
+            if int(token) > high:
+                return False
+        except ValueError:
+            pass
+    return True
+
+
+def near(*examples):
+    """Arbitrary text, or a valid example, or one spliced with short text."""
+    return st.one_of(st.text(), st.sampled_from(examples),
+                     st.tuples(st.sampled_from(examples), st.text(max_size=3),
+                               st.booleans()).map(lambda t: t[1] + t[0] if t[2] else t[0] + t[1]))
+
+
+@FUZZ
+@given(command=st.sampled_from(["complete", "sense"]), name=inputs_t3b,
+       flag=st.sampled_from(["--missing", "--noise-sigma"]),
+       text=near("0.5", "0", "0.99", "1", "-0.1", "1e-3", "1e200", "1e308", "nan", "inf"))
+def test_a_float_flag_given_any_text_exits_with_a_documented_code(inputs, command, name, flag,
+                                                                  text):
+    argv = [command, "--in", inputs / name, "--out", inputs / "float.t3b", "--rank", 1]
+    if command == "complete":
+        argv += [f"--missing={text}"] if flag == "--missing" else ["--missing=0.5"]
+    else:
+        argv += ["--m", 12]
+    if flag == "--noise-sigma":
+        argv.append(f"--noise-sigma={text}")
+    _check(argv, None)
+
+
+@FUZZ
+@given(command=st.sampled_from(["synth", "trip"]),
+       text=near("4x4x2", "8X8X4", "0x4x2", "4x4", "4x4x2x1", "-1x2x2", "4x٤x2"))
+def test_dims_given_any_text_exit_with_a_documented_code(inputs, command, text):
+    assume(_small(text.lower(), "x", 8))
+    argv = {"synth": ["synth", "--rank", 1, "--out", inputs / "dims.t3b"],
+            "trip": ["trip", "--rank", 1, "--m-grid", 8, "--samples", 2, "--trials", 1,
+                     "--out", inputs / "dims.csv"]}[command]
+    _check([*argv, f"--dims={text}"], None)
+
+
+@FUZZ
+@given(text=near("8", "8,16", "0", "8,,16", "-8", "8.0", "1,2,3"))
+def test_an_m_grid_given_any_text_exits_with_a_documented_code(inputs, text):
+    assume(_small(text, ",", 300))
+    _check(["trip", "--dims", "4x4x2", "--rank", 1, f"--m-grid={text}", "--samples", 2,
+            "--trials", 1, "--out", inputs / "grid.csv"], None)
+
+
+@FUZZ
+@given(name=st.sampled_from(["big.t3b", "frames/tensor.t3b"]),
+       text=near("pgm", "ppm", "PGM", "gif"))
+def test_an_export_format_given_any_text_exits_with_a_documented_code(inputs, name, text):
+    _check(["export", "--in", inputs / name, "--out", inputs / "exported",
+            f"--format={text}"], None)
+
+
+@FUZZ
+@given(text=near("*.pgm", "frame_000[01].pgm", "*", "*.ppm", "color.ppm", "notes.pgm",
+                 "*.t3b", "frame_*", "absent_*.pgm", "[").filter(lambda t: "/" not in t))
+def test_an_ingest_glob_given_any_text_exits_with_a_documented_code(inputs, text):
+    # the glob stays inside the frames directory: it holds no "/"
+    _check(["ingest", f"--in={inputs / 'frames'}/{text}", "--out", inputs / "ingested.t3b"],
+           None)
