@@ -28,8 +28,12 @@ economic one, plus the O(r (n1 + n2) n3) slices.
 Both make the residual norm nonincreasing, and the decay is bounded by
 ``sqrt(1 - 1/min(n1, n2))`` per iteration regardless of the measurement
 map, because the leading atom of any tensor captures at least
-``1/sqrt(min(n1, n2))`` of its norm. The pursuit promises that rate of
-decay, not recovery: its atoms stay frozen once peeled.
+``1/sqrt(min(n1, n2))`` of its norm. That floor is all the bound needs,
+the weak greedy setting (Temlyakov, Adv. Comput. Math., 2000), so
+``leading_atoms`` peels sketched atoms and checks each batch's leading
+one against the floor rather than computing the exact ones. The pursuit
+promises that rate of decay, not recovery: its atoms stay frozen once
+peeled.
 
 ``refine`` is a second stage for either kind of map: Riemannian conjugate
 gradients over the tensors of tubal rank r refit the whole estimate to the
@@ -75,7 +79,8 @@ class PursuitConfig:
     otherwise), and s the number of atoms added per iteration, an integer
     in [1, r] (ValueError otherwise). Iteration k adds min(s, r - s*(k-1))
     atoms, so a run takes at most ceil(r / s) iterations and collects at
-    most r atoms. The pursuit draws no randomness.
+    most r atoms. The pursuit's one random draw is leading_atoms' fixed-seed
+    sketch, so a run is deterministic.
     """
 
     r: int

@@ -13,9 +13,10 @@ import pytest
 from oracles import (conj_transpose, fft3, identity_tensor, inner, is_orthogonal,
                      slice_svd_tsvd)
 import tpursuit.tsvd as tsvd_module
+from tpursuit import measure, pursuit
 from tpursuit.tsvd import leading_atoms, truncated_tsvd, tubal_rank
 from tpursuit.errors import NumericalFailure, RankOutOfRange
-from tpursuit.tensor import frobenius_norm, spectrum, tprod
+from tpursuit.tensor import frobenius_norm, spectrum, t_transpose, tprod
 from tpursuit.trip import sample_rank_r_unit
 
 SHAPES = [(1, 1, 1), (4, 4, 1), (3, 5, 4), (5, 3, 4), (8, 8, 8), (6, 2, 7)]
@@ -409,3 +410,128 @@ def test_leading_atom_inner_product_lower_bound():
         atoms = leading_atoms(a, 1)
         floor = frobenius_norm(a) / np.sqrt(min(n1, n2))
         assert atoms[0].tube_norm >= floor * (1.0 - 1e-10)
+
+
+# min(n1, n2) > s + SKETCH_OVERSAMPLE, so leading_atoms takes the range
+# finder: both slice orientations, odd and even n3
+SKETCH_SHAPES = [(24, 40, 5), (40, 24, 6), (64, 64, 8), (33, 30, 7)]
+
+
+def _low_rank_plus_noise(shape, rng, rank=4, noise=0.05):
+    y = sample_rank_r_unit(shape, rank, rng)
+    return y + noise * rng.standard_normal(shape) / np.sqrt(np.prod(shape))
+
+
+def _no_exact_factorization(a, k):
+    raise AssertionError("leading_atoms fell back to truncated_tsvd")
+
+
+def test_sketched_atoms_keep_the_atom_contract(monkeypatch):
+    # unit norm, orthonormal within the batch, tube_norm the inner product
+    # with the source tensor, and a leading tube norm at or above the floor
+    monkeypatch.setattr(tsvd_module, "truncated_tsvd", _no_exact_factorization)
+    rng = np.random.default_rng(230)
+    for shape in SKETCH_SHAPES:
+        n1, n2, _ = shape
+        for a in (rng.standard_normal(shape), _low_rank_plus_noise(shape, rng)):
+            for s in (1, 3):
+                atoms = leading_atoms(a, s)
+                assert len(atoms) == s, (shape, s)
+                for i, at in enumerate(atoms):
+                    assert abs(frobenius_norm(at.atom) - 1.0) <= 1e-12, (shape, s, i)
+                    assert abs(at.tube_norm - inner(at.atom, a)) <= 1e-12 * at.tube_norm
+                    for other in atoms[i + 1:]:
+                        assert abs(inner(at.atom, other.atom)) <= 1e-12, (shape, s, i)
+                assert atoms[0].tube_norm >= frobenius_norm(a) / np.sqrt(min(n1, n2))
+
+
+def test_sketched_atoms_capture_the_exact_tube_norms_of_low_rank_plus_noise():
+    rng = np.random.default_rng(231)
+    for shape in SKETCH_SHAPES:
+        for noise in (0.05, 0.3):
+            a = _low_rank_plus_noise(shape, rng, noise=noise)
+            exact = truncated_tsvd(a, 4).tube_norms()
+            atoms = leading_atoms(a, 4)
+            captured = [at.tube_norm / t for at, t in zip(atoms, exact)]
+            assert len(atoms) == 4 and min(captured) >= 0.99, (shape, noise, captured)
+
+
+def test_a_sketch_below_the_floor_falls_back_to_truncated_tsvd(monkeypatch):
+    rng = np.random.default_rng(232)
+    sketch = tsvd_module._sketched_triplets
+    calls = []
+
+    def weak_sketch(stack, k):
+        # the range finder's factors with their energy cut 100-fold, far
+        # below ||a|| / sqrt(min(n1, n2))
+        calls.append(k)
+        u, sig, vh = sketch(stack, k)
+        return u, sig / 100.0, vh
+
+    monkeypatch.setattr(tsvd_module, "_sketched_triplets", weak_sketch)
+    for shape in SKETCH_SHAPES:
+        a = rng.standard_normal(shape)
+        s = 3
+        atoms = leading_atoms(a, s)
+        # the exact atoms, built from truncated_tsvd as leading_atoms builds them
+        f = truncated_tsvd(a, s)
+        theta = f.tube_norms()
+        w = tprod(f.u, f.s / theta[:, None])
+        assert len(atoms) == s
+        for i, at in enumerate(atoms):
+            assert at.tube_norm == theta[i]
+            np.testing.assert_array_equal(at.w, w[:, i:i + 1])
+            np.testing.assert_array_equal(at.v, f.v[:, i:i + 1])
+            np.testing.assert_array_equal(
+                at.atom, tprod(w[:, i:i + 1], t_transpose(f.v[:, i:i + 1])))
+    assert calls == [3] * len(SKETCH_SHAPES)
+
+
+def test_atoms_of_narrow_tensors_come_from_truncated_tsvd(monkeypatch):
+    # where s + SKETCH_OVERSAMPLE >= min(n1, n2) a sketch spans the whole
+    # space, so the exact factorization is taken and the range finder skipped
+    def no_sketch(stack, k):
+        raise AssertionError("the range finder ran")
+
+    monkeypatch.setattr(tsvd_module, "_sketched_triplets", no_sketch)
+    rng = np.random.default_rng(233)
+    for shape, s in (((9, 40, 5), 1), ((40, 12, 4), 4), ((8, 8, 8), 2)):
+        assert s + tsvd_module.SKETCH_OVERSAMPLE >= min(shape[:2])
+        assert len(leading_atoms(rng.standard_normal(shape), s)) == s
+
+
+def _assert_same_atoms(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.tube_norm == w.tube_norm
+        np.testing.assert_array_equal(g.atom, w.atom)
+        np.testing.assert_array_equal(g.w, w.w)
+        np.testing.assert_array_equal(g.v, w.v)
+
+
+@pytest.mark.parametrize("shape", SKETCH_SHAPES)
+def test_sketched_atoms_are_byte_identical_across_calls_orders_and_workers(shape, monkeypatch):
+    a = np.random.default_rng(234).standard_normal(shape)
+    want = leading_atoms(a, 3)
+    _assert_same_atoms(leading_atoms(a, 3), want)
+    _assert_same_atoms(leading_atoms(np.asfortranarray(a), 3), want)
+    _assert_same_atoms(leading_atoms(np.ascontiguousarray(a), 3), want)
+    for workers in (1, 4):
+        monkeypatch.setattr(tsvd_module, "_worker_count", lambda: workers)
+        _assert_same_atoms(leading_atoms(a, 3), want)
+
+
+def test_runs_on_sketched_atoms_are_byte_identical(monkeypatch):
+    dims = (48, 48, 8)
+    y = sample_rank_r_unit(dims, 4, np.random.default_rng(235))
+    phi = measure.sampling_map(measure.random_mask(dims, 0.5, seed=235))
+    cfg = pursuit.PursuitConfig(r=4, s=2)
+    results = []
+    for truth in (y, np.ascontiguousarray(y), np.asfortranarray(y)):
+        results.append(pursuit.run(measure.apply(phi, truth), phi, cfg))
+    for workers in (1, 4):
+        monkeypatch.setattr(tsvd_module, "_worker_count", lambda: workers)
+        results.append(pursuit.run(measure.apply(phi, y), phi, cfg))
+    for got in results[1:]:
+        assert got.yhat.tobytes() == results[0].yhat.tobytes()
+        assert got.residual_norms.tobytes() == results[0].residual_norms.tobytes()
