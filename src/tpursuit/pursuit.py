@@ -110,7 +110,11 @@ class ThinQR:
     Q' is stored as contiguous rows of an array with room for capacity
     columns, at least as many as are ever added, so adding s columns to k
     costs O(m k s) and the m x k block W itself is never kept or
-    refactored.
+    refactored. Its products over the m entries go through np.einsum, not
+    BLAS, as in tensor.frobenius_norm. OpenBLAS runs calls of that length
+    on its threads: it splits a dot product's sum by the thread count, so
+    the weights' low bits would vary with the host, and its idle workers
+    spin after each call.
     """
 
     def __init__(self, wb: np.ndarray, capacity: int):
@@ -134,7 +138,7 @@ class ThinQR:
         for j in range(k, k + s):
             r[:j + 1, j] = self._orthogonalize(self._qt[:j], self._qt[j])
         self.r = r
-        self.qtb = np.concatenate([self.qtb, new @ self.wb])
+        self.qtb = np.concatenate([self.qtb, np.einsum("km,m->k", new, self.wb)])
 
     @staticmethod
     def _orthogonalize(qt: np.ndarray, row: np.ndarray) -> np.ndarray:
@@ -149,14 +153,13 @@ class ThinQR:
         solve's cutoff drops, and later rows then ignore it.
         """
         coef = np.zeros(len(qt) + 1)
-        h = qt @ row
-        row -= h @ qt
-        first = np.linalg.norm(row)
-        coef[:-1] = h
-        h = qt @ row
-        row -= h @ qt
-        second = np.linalg.norm(row)
-        coef[:-1] += h
+        norms = []
+        for _ in range(2):
+            h = np.einsum("km,m->k", qt, row)
+            row -= np.einsum("k,km->m", h, qt)
+            coef[:-1] += h
+            norms.append(frobenius_norm(row))
+        first, second = norms
         if second > 0.5 * first:
             row /= second
             coef[-1] = second
@@ -173,7 +176,7 @@ class ThinQR:
         """
         m, k = self.wb.size, self.r.shape[0]
         w = np.linalg.lstsq(self.r, self.qtb, rcond=np.finfo(np.float64).eps * max(m, k))[0]
-        return w, self.qt.T @ (self.r @ w)
+        return w, np.einsum("km,k->m", self.qt, self.r @ w)
 
 
 @dataclass(frozen=True)
@@ -225,9 +228,10 @@ def solve_weights_economic(wfit: np.ndarray, wcols: np.ndarray,
     rank cutoff would drop a direction. A zero column 0 (before the first
     atom) is left as it is.
     """
-    scale = np.linalg.norm(wfit) or 1.0
-    weights, fit = solve_weights_full(ThinQR(wb, 1 + wcols.shape[1]),
-                                      np.column_stack([wfit / scale, wcols]))
+    scale = frobenius_norm(wfit) or 1.0
+    factor = ThinQR(wb, 1 + wcols.shape[1])
+    factor.append((wfit / scale)[:, None])
+    weights, fit = solve_weights_full(factor, wcols)
     weights[0] /= scale
     return weights, fit
 
@@ -429,7 +433,7 @@ def refine(b: np.ndarray, phi: MeasurementMap, yhat: Tensor3, r: int) -> Tensor3
         m, up, vp = d
         step_t = v.conj() @ (u @ m + up).transpose(0, 2, 1) + vp.conj() @ ut
         step = whiten(phi, apply(phi, from_spectrum(step_t, n3)))
-        curvature = float(step @ step)
+        curvature = float(np.einsum("i,i->", step, step))
         if not (slope < 0.0 and curvature > 0.0):
             break
         g_old, gg_old, u_old, v_old = g, gg, u, v

@@ -19,6 +19,7 @@ are Fortran ordered.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -105,7 +106,11 @@ def tprod(a: Tensor3, b: Tensor3) -> Tensor3:
 
 
 def frobenius_norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a))
+    """Frobenius norm of a real array, summed by np.einsum rather than BLAS:
+    OpenBLAS splits a dot product of more than 10000 entries over its
+    threads, so the norm's low bits would depend on how many it runs."""
+    x = np.ravel(a, order="K")
+    return math.sqrt(float(np.einsum("i,i->", x, x)))
 
 
 def rmse(x: Tensor3, y: Tensor3) -> float:

@@ -2,7 +2,11 @@
 
 import csv
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -647,3 +651,35 @@ def test_refine_rejects_non_finite_measurements():
         yhat_bad[1, 2, 0] = bad
         with pytest.raises(ValueError, match="finite"):
             pu.refine(b, phi, yhat_bad, 2)
+
+
+def test_runs_are_byte_identical_for_any_blas_thread_count():
+    # m = 16384 measured entries, above the 10000 from which OpenBLAS splits
+    # a dot product over its threads: summed by BLAS, the refit's norms
+    # would change in their low bits between one thread and two
+    script = (
+        "import hashlib\n"
+        "import numpy as np\n"
+        "from tpursuit import measure, pursuit\n"
+        "from tpursuit.trip import sample_rank_r_unit\n"
+        "dims = (64, 64, 8)\n"
+        "y = sample_rank_r_unit(dims, 4, np.random.default_rng(236))\n"
+        "phi = measure.sampling_map(measure.random_mask(dims, 0.5, seed=236))\n"
+        "b = measure.apply(phi, y)\n"
+        "digest = hashlib.sha256()\n"
+        "for variant in ('standard', 'economic'):\n"
+        "    res = pursuit.run(b, phi, pursuit.PursuitConfig(r=4, s=2, variant=variant))\n"
+        "    digest.update(res.yhat.tobytes())\n"
+        "    digest.update(res.residual_norms.tobytes())\n"
+        "print(digest.hexdigest())\n"
+    )
+    src = str(Path(pu.__file__).resolve().parent.parent)
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        digests.append(done.stdout)
+    assert digests[0] == digests[1]

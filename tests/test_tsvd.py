@@ -509,29 +509,30 @@ def _assert_same_atoms(got, want):
         np.testing.assert_array_equal(g.v, w.v)
 
 
+def _no_worker_split(fn, stack, *args):
+    raise AssertionError("the sketch path split slices over workers")
+
+
 @pytest.mark.parametrize("shape", SKETCH_SHAPES)
-def test_sketched_atoms_are_byte_identical_across_calls_orders_and_workers(shape, monkeypatch):
+def test_sketched_atoms_are_byte_identical_across_calls_and_orders(shape, monkeypatch):
+    # the sketch runs on the calling thread, so no worker count can reach it
+    monkeypatch.setattr(tsvd_module, "_over_slices", _no_worker_split)
     a = np.random.default_rng(234).standard_normal(shape)
     want = leading_atoms(a, 3)
     _assert_same_atoms(leading_atoms(a, 3), want)
     _assert_same_atoms(leading_atoms(np.asfortranarray(a), 3), want)
     _assert_same_atoms(leading_atoms(np.ascontiguousarray(a), 3), want)
-    for workers in (1, 4):
-        monkeypatch.setattr(tsvd_module, "_worker_count", lambda: workers)
-        _assert_same_atoms(leading_atoms(a, 3), want)
 
 
 def test_runs_on_sketched_atoms_are_byte_identical(monkeypatch):
+    monkeypatch.setattr(tsvd_module, "_over_slices", _no_worker_split)
     dims = (48, 48, 8)
     y = sample_rank_r_unit(dims, 4, np.random.default_rng(235))
     phi = measure.sampling_map(measure.random_mask(dims, 0.5, seed=235))
     cfg = pursuit.PursuitConfig(r=4, s=2)
     results = []
-    for truth in (y, np.ascontiguousarray(y), np.asfortranarray(y)):
+    for truth in (y, np.ascontiguousarray(y), np.asfortranarray(y), y):
         results.append(pursuit.run(measure.apply(phi, truth), phi, cfg))
-    for workers in (1, 4):
-        monkeypatch.setattr(tsvd_module, "_worker_count", lambda: workers)
-        results.append(pursuit.run(measure.apply(phi, y), phi, cfg))
     for got in results[1:]:
         assert got.yhat.tobytes() == results[0].yhat.tobytes()
         assert got.residual_norms.tobytes() == results[0].residual_norms.tobytes()
