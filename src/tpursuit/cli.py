@@ -66,17 +66,18 @@ def _parse_grid(text: str) -> tuple:
     return tuple(map(_int_or_text, text.split(",")))
 
 
-def _nonnegative(kind):
-    """A type= converter: the text as a kind (int or float) in [0, inf)."""
+def _nonnegative(kind, below=math.inf):
+    """A type= converter: the text as a kind (int or float) in [0, below)."""
     noun = "an integer" if kind is int else "a finite number"
+    rule = ">= 0" if below == math.inf else f"in [0, {below:g})"
 
     def convert(text: str):
         try:
             value = kind(text)
         except ValueError:
             value = math.nan
-        if not 0 <= value < math.inf:
-            raise argparse.ArgumentTypeError(f"must be {noun} >= 0, got {text!r}")
+        if not 0 <= value < below:
+            raise argparse.ArgumentTypeError(f"must be {noun} {rule}, got {text!r}")
         return value
     return convert
 
@@ -235,7 +236,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_pursuit_flags(p)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--mask", default=None, help="mask file (.msk)")
-    group.add_argument("--missing", type=float, default=None,
+    group.add_argument("--missing", type=_nonnegative(float, below=1.0), default=None,
                        help="missing ratio for a seeded random mask")
     p.set_defaults(func=cmd_complete)
 

@@ -110,8 +110,11 @@ class ThinQR:
     Q' is stored as contiguous rows of an array with room for capacity
     columns, at least as many as are ever added, so adding s columns to k
     costs O(m k s) and the m x k block W itself is never kept or
-    refactored. Its products over the m entries go through np.einsum, not
-    BLAS, as in tensor.frobenius_norm. OpenBLAS runs calls of that length
+    refactored. Each new column takes one Gram-Schmidt pass, and a second
+    only when the first cancels most of it (_orthogonalize), so in the
+    usual case a column costs two products with Q' and one norm. Its
+    products over the m entries go through np.einsum, not BLAS, as in
+    tensor.frobenius_norm. OpenBLAS runs calls of that length
     on its threads: it splits a dot product's sum by the thread count, so
     the weights' low bits would vary with the host, and its idle workers
     spin after each call.
@@ -145,26 +148,34 @@ class ThinQR:
         """Orthonormalize row against the rows of qt in place; returns its
         coefficients: the projections onto qt, then the new diagonal.
 
-        Classical Gram-Schmidt run twice, which leaves the row orthogonal
-        to qt to rounding (Giraud, Langou & Rozloznik, "twice is enough",
-        2005). A row that the second pass halves again held only rounding
-        left over from qt's span, such as a zero row or any row once qt
-        spans all of R^m; it is set to zero with a zero diagonal, which the
-        solve's cutoff drops, and later rows then ignore it.
+        Classical Gram-Schmidt with reorthogonalization only when needed,
+        the rule of Daniel, Gragg, Kaufman & Stewart (Math. Comp., 1976):
+        a pass that keeps more than 1/sqrt(2) of the row's norm leaves it
+        orthogonal to qt to rounding, and one that cancels more gets a
+        second pass, which is enough (Giraud, Langou & Rozloznik, "twice is
+        enough", 2005). Before a pass that removes h the row's norm was
+        sqrt(||h||^2 + ||row||^2), so the first pass keeps enough exactly
+        when the row's new norm exceeds ||h||, and the row is summed over
+        once per pass. A row that the second pass halves again held only
+        rounding left over from qt's span, such as a zero row or any row
+        once qt spans all of R^m; it is set to zero with a zero diagonal,
+        which the solve's cutoff drops, and later rows then ignore it.
         """
         coef = np.zeros(len(qt) + 1)
-        norms = []
-        for _ in range(2):
-            h = np.einsum("km,m->k", qt, row)
-            row -= np.einsum("k,km->m", h, qt)
-            coef[:-1] += h
-            norms.append(frobenius_norm(row))
-        first, second = norms
-        if second > 0.5 * first:
-            row /= second
-            coef[-1] = second
-        else:
-            row[...] = 0.0
+        h = coef[:-1]
+        h += np.einsum("km,m->k", qt, row)
+        row -= np.einsum("k,km->m", h, qt)
+        norm = frobenius_norm(row)
+        if norm <= frobenius_norm(h):
+            again = np.einsum("km,m->k", qt, row)
+            row -= np.einsum("k,km->m", again, qt)
+            h += again
+            first, norm = norm, frobenius_norm(row)
+            if norm <= 0.5 * first:
+                row[...] = 0.0
+                return coef
+        row /= norm
+        coef[-1] = norm
         return coef
 
     def solve(self) -> tuple[np.ndarray, np.ndarray]:

@@ -70,10 +70,16 @@ class TSVDFactors:
         return self.u.shape[1]
 
     def tube_norms(self) -> np.ndarray:
-        """Frobenius norm of each singular tube s(i, i, :), nonincreasing in i."""
+        """Frobenius norm of each singular tube s(i, i, :), nonincreasing in i.
+
+        The tubes are scaled by the power of two at their largest magnitude
+        first, so no square overflows or underflows; the scale is exact, so
+        where the unscaled squares do neither the norms are the same bits.
+        """
         rho = self.rho
         diag = self.s[np.arange(rho), np.arange(rho), :]
-        return np.linalg.norm(diag, axis=1)
+        _, exp = np.frexp(np.abs(diag).max())
+        return np.ldexp(np.linalg.norm(np.ldexp(diag, -exp), axis=1), exp)
 
 
 @dataclass(frozen=True)
@@ -134,16 +140,21 @@ def _over_slices(fn, stack: np.ndarray, *args):
     return tuple(np.concatenate(outs) for outs in zip(*parts))
 
 
+def _h(x: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each slice of a stack."""
+    return x.conj().transpose(0, 2, 1)
+
+
 def _leading_triplets(stack: np.ndarray, k: int):
     """k leading singular triplets of each slice of a stack with at least as
     many rows as columns, as (u, sigma, vh) of widths k."""
-    gram = np.matmul(stack.conj().transpose(0, 2, 1), stack)
+    gram = np.matmul(_h(stack), stack)
     v = np.linalg.eigh(gram)[1][:, :, ::-1][:, :, :k]
     del gram
     # u comes from the thin SVD of a v, never from a v / sigma, so it stays
     # orthonormal on a zero slice and when k exceeds the slice's rank
     u, sig, zh = np.linalg.svd(stack @ v, full_matrices=False)
-    return u, sig, zh @ v.conj().transpose(0, 2, 1)
+    return u, sig, zh @ _h(v)
 
 
 def _sketched_triplets(stack: np.ndarray, k: int):
@@ -151,14 +162,20 @@ def _sketched_triplets(stack: np.ndarray, k: int):
     _leading_triplets gives them, from a randomized range finder: Q spans
     A Omega after SKETCH_POWER_STEPS power steps, and u = Q U_B, sigma and
     vh come from the thin SVD U_B diag(sigma) vh of B = Q^H A. Each sigma is
-    u^H A v exactly, and u and vh stay orthonormal."""
+    u^H A v exactly, and u and vh stay orthonormal.
+
+    A^H Q is formed as (Q^H A)^H, so the stack is never conjugated into a
+    copy. B is wide, l x n2 for l = k + SKETCH_OVERSAMPLE, so its SVD goes
+    through the thin QR B^H = P R: B = R^H P^H, and the l x l SVD
+    R^H = U_B diag(sigma) W^H gives vh = W^H P^H.
+    """
     omega = np.random.default_rng(0).standard_normal((stack.shape[2], k + SKETCH_OVERSAMPLE))
-    stack_h = stack.conj().transpose(0, 2, 1)
     q = np.linalg.qr(stack @ omega)[0]
     for _ in range(SKETCH_POWER_STEPS):
-        q = np.linalg.qr(stack @ np.linalg.qr(stack_h @ q)[0])[0]
-    ub, sig, vh = np.linalg.svd(q.conj().transpose(0, 2, 1) @ stack, full_matrices=False)
-    return q @ ub[:, :, :k], sig[:, :k], vh[:, :k]
+        q = np.linalg.qr(stack @ np.linalg.qr(_h(_h(q) @ stack))[0])[0]
+    p, r = np.linalg.qr(_h(_h(q) @ stack))
+    ub, sig, wh = np.linalg.svd(_h(r))
+    return q @ ub[:, :, :k], sig[:, :k], wh[:, :k] @ _h(p)
 
 
 def _assemble(u, sig, vh, n3: int) -> TSVDFactors:
@@ -225,6 +242,18 @@ def slice_factors(a: Tensor3, k: int, sketch: bool = False):
     return u, sig, vh
 
 
+def _safe_norm(a: np.ndarray) -> float:
+    """frobenius_norm of a, computed again on a scaled by the power of two at
+    its largest magnitude where the unscaled sum of squares may have
+    overflowed or lost its small terms, outside [2**-900, 2**900]. Only
+    then does it pay for the scaled copy."""
+    norm = frobenius_norm(a)
+    if 2.0 ** -450 <= norm <= 2.0 ** 450:
+        return norm
+    _, exp = np.frexp(np.abs(a).max())
+    return math.ldexp(frobenius_norm(np.ldexp(a, -exp)), int(exp))
+
+
 def tubal_rank(a: Tensor3) -> int:
     """Number of singular tubes with norm above RANK_REL_TOL times the
     leading one; 0 for a zero tensor."""
@@ -257,7 +286,7 @@ def leading_atoms(a: Tensor3, s: int) -> list[RankOneAtom]:
     # factorization on narrow shapes from 10x9x4 to 64x48x8, one worker
     if s + SKETCH_OVERSAMPLE < min(n1, n2):
         factors = _assemble(*slice_factors(a, s, sketch=True), n3)
-        if factors.tube_norms()[0] < frobenius_norm(a) / math.sqrt(min(n1, n2)):
+        if factors.tube_norms()[0] < _safe_norm(a) / math.sqrt(min(n1, n2)):
             factors = None
     if factors is None:
         factors = truncated_tsvd(a, s)

@@ -148,6 +148,19 @@ def test_complete_missing_ratio_bounds(tmp_path, capsys):
     assert code == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("missing", ["2", "1", "-0.1", "nan"])
+def test_a_missing_ratio_outside_its_range_is_refused_by_the_flag(tmp_path, capsys, missing):
+    src, _ = synth(tmp_path, capsys)
+    out = tmp_path / "r.t3b"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["complete", "--in", str(src), "--out", str(out), "--rank", "2",
+                  f"--missing={missing}"])
+    assert exc.value.code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == f"tpursuit: argument --missing: must be a finite number in [0, 1), got '{missing}'\n"
+    assert not out.exists()
+
+
 def test_complete_deterministic_outputs(tmp_path, capsys):
     src, _ = synth(tmp_path, capsys)
     outs = []

@@ -113,6 +113,79 @@ def test_incremental_refit_matches_lstsq_on_the_whole_block(kind):
         wfit = new_fit
 
 
+def assert_orthonormal_factor(factor, block):
+    qt = factor.qt
+    k = qt.shape[0]
+    assert np.abs(qt @ qt.T - np.eye(k)).max() <= 1e-13
+    assert np.linalg.norm(block - qt.T @ factor.r) <= 1e-13 * np.linalg.norm(block)
+
+
+def count_sums_over_rows(monkeypatch, m):
+    """The list to which each frobenius_norm over m entries in pursuit adds one."""
+    sums = []
+
+    def counted(x):
+        if np.size(x) == m:
+            sums.append(x)
+        return frobenius_norm(x)
+    monkeypatch.setattr(pu, "frobenius_norm", counted)
+    return sums
+
+
+def test_random_columns_take_one_gram_schmidt_pass(monkeypatch):
+    m = 100_003
+    block = np.random.default_rng(77).standard_normal((m, 8))
+    factor = pu.ThinQR(np.zeros(m), 8)
+    sums = count_sums_over_rows(monkeypatch, m)
+    for k in range(0, 8, 2):
+        factor.append(block[:, k:k + 2])
+    # one norm of the row per column, after its one pass
+    assert len(sums) == 8
+    assert_orthonormal_factor(factor, block)
+
+
+def near_span_factor(m, share_outside, seed):
+    """A ThinQR over 6 random columns plus one column of norm 3 whose part
+    outside their span is share_outside of its norm."""
+    rng = np.random.default_rng(seed)
+    block = rng.standard_normal((m, 7))
+    inside = block[:, :6] @ rng.standard_normal(6)
+    outside = block[:, 6] - block[:, :6] @ np.linalg.lstsq(block[:, :6], block[:, 6], rcond=None)[0]
+    block[:, 6] = 3.0 * (math.sqrt(1.0 - share_outside ** 2) * inside / np.linalg.norm(inside)
+                         + share_outside * outside / np.linalg.norm(outside))
+    factor = pu.ThinQR(np.zeros(m), 7)
+    factor.append(block[:, :6])
+    return factor, block
+
+
+def test_a_row_mostly_inside_the_span_takes_a_second_pass(monkeypatch):
+    # all but 0.1% of the row's norm lies in the span, so one classical
+    # Gram-Schmidt pass leaves it orthogonal to about 5e-12 only
+    factor, block = near_span_factor(100_003, 1e-3, seed=78)
+    sums = count_sums_over_rows(monkeypatch, block.shape[0])
+    factor.append(block[:, 6:])
+    assert_orthonormal_factor(factor, block)
+    assert factor.r[6, 6] == pytest.approx(3e-3, rel=1e-6)
+    assert len(sums) == 2
+
+
+@pytest.mark.parametrize("m, dropped", [(4099, 2), (3, 3)])
+def test_a_row_without_a_new_direction_drops_with_a_zero_diagonal(m, dropped):
+    # a zero row at m = 4099, and at m = 3 a row once the factor spans R^3
+    block = np.random.default_rng(79).standard_normal((m, 4))
+    if dropped == 2:
+        block[:, 2] = 0.0
+    factor = pu.ThinQR(np.zeros(m), 4)
+    factor.append(block[:, :3])
+    factor.append(block[:, 3:])
+    assert factor.r[dropped, dropped] == 0.0
+    assert not factor.qt[dropped].any()
+    # the other rows stay orthonormal, and W = QR still holds
+    kept = np.delete(factor.qt, dropped, axis=0)
+    assert np.abs(kept @ kept.T - np.eye(3)).max() <= 1e-13
+    assert np.linalg.norm(block - factor.qt.T @ factor.r) <= 1e-13 * np.linalg.norm(block)
+
+
 def test_single_atom_weight_under_full_observation():
     rng = np.random.default_rng(402)
     dims = (4, 4, 3)

@@ -6,6 +6,7 @@ import sys
 import threading
 import tracemalloc
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -152,6 +153,23 @@ def test_truncated_tsvd_at_extreme_magnitudes(scale):
             assert np.abs(f.u - u).max() <= 1e-12
             assert np.abs(f.v - v).max() <= 1e-12
             assert np.abs(f.s - s).max() <= 1e-12 * np.abs(s).max()
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e160, 1e300])
+def test_leading_atoms_at_extreme_magnitudes(scale):
+    # the tube norms and the floor check square the tubes and the tensor;
+    # unscaled, 1e160 overflows and 1e-160 underflows
+    a = np.random.default_rng(217).standard_normal((30, 24, 4))
+    plain = leading_atoms(a, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled = leading_atoms(scale * a, 2)
+        tubes = truncated_tsvd(scale * a, 2).tube_norms()
+    assert len(scaled) == len(plain) == 2
+    for got, want in zip(scaled, plain):
+        assert got.tube_norm == pytest.approx(scale * want.tube_norm, rel=1e-12)
+        assert np.abs(got.atom - want.atom).max() <= 1e-12
+    np.testing.assert_allclose(tubes, scale * truncated_tsvd(a, 2).tube_norms(), rtol=1e-12)
 
 
 def test_truncated_tsvd_with_one_huge_entry():
