@@ -9,11 +9,10 @@ a Fortran-ordered input is not copied on numpy 2. To keep k triplets of a
 slice it takes the k leading eigenvectors of the slice's Gram matrix on
 its smaller side and runs a thin SVD of the slice times those vectors. At
 k = min(n1, n2) the eigenvectors form a unitary basis, so the same path,
-``truncated_tsvd(a, min(n1, n2))``, gives the full decomposition. The
-slices are split across the CPUs the process may run on. Each left
-singular vector is rotated so that its largest-magnitude entry is real and
-nonnegative, which pins the per-slice phase and makes the factors
-deterministic.
+``truncated_tsvd(a, min(n1, n2))``, gives the full decomposition. Every
+slice is factored on the calling thread. Each left singular vector is
+rotated so that its largest-magnitude entry is real and nonnegative, which
+pins the per-slice phase and makes the factors deterministic.
 
 Rank-one atoms are t-products of the inverse-transformed factors through
 ``tensor.tprod``, one atom per call, so each costs O(n1 n2 n3) memory
@@ -35,10 +34,7 @@ stay exact.
 
 from __future__ import annotations
 
-import contextvars
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,36 +106,6 @@ def _fix_phase(u, vh):
     return u * phase.conj()[:, None, :], vh * phase[:, :, None]
 
 
-# The slices are split into contiguous chunks, one per CPU in the process's
-# affinity mask. The calling thread factors the first chunk and a pool that
-# lives for the one call the others; numpy's LAPACK and BLAS calls release
-# the interpreter lock. Every slice gets the same LAPACK calls however the
-# stack is split, so the factors do not depend on the worker count.
-def _worker_count() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _over_slices(fn, stack: np.ndarray, *args):
-    """fn(chunk, *args) on contiguous chunks of the stack, run concurrently;
-    the arrays fn returns are joined back along the slice axis."""
-    chunks = np.array_split(stack, min(_worker_count(), len(stack)))
-    if len(chunks) == 1:
-        return fn(stack, *args)
-    # each chunk runs in a copy of the caller's context, so numpy's error
-    # state (np.errstate) applies in the workers too; leaving the block
-    # joins every worker, also when the first chunk raises
-    with ThreadPoolExecutor(max_workers=len(chunks) - 1,
-                            thread_name_prefix="tpursuit-tsvd") as pool:
-        futures = [pool.submit(contextvars.copy_context().run, fn, chunk, *args)
-                   for chunk in chunks[1:]]
-        parts = [fn(chunks[0], *args)]
-    parts += [f.result() for f in futures]
-    return tuple(np.concatenate(outs) for outs in zip(*parts))
-
-
 def _h(x: np.ndarray) -> np.ndarray:
     """Conjugate transpose of each slice of a stack."""
     return x.conj().transpose(0, 2, 1)
@@ -198,12 +164,11 @@ def truncated_tsvd(a: Tensor3, k: int) -> TSVDFactors:
     Each DFT slice's k leading right singular vectors come from the
     eigendecomposition of its Gram matrix on the smaller side; a thin SVD of
     the slice times them gives orthonormal left vectors and the singular
-    values. The slices are factored on every CPU in the process's affinity
-    mask, and the result does not depend on how many there are, nor on the
-    input's memory order; u, s and v are Fortran ordered. Raises
-    RankOutOfRange unless k is an integer in [1, min(n1, n2)], and
-    NumericalFailure when a slice cannot be factored, such as for an input
-    holding NaN or an infinity.
+    values. The slices are factored on the calling thread, and the result
+    does not depend on the input's memory order; u, s and v are Fortran
+    ordered. Raises RankOutOfRange unless k is an integer in
+    [1, min(n1, n2)], and NumericalFailure when a slice cannot be factored,
+    such as for an input holding NaN or an infinity.
     """
     return _assemble(*slice_factors(a, k), a.shape[2])
 
@@ -211,7 +176,8 @@ def truncated_tsvd(a: Tensor3, k: int) -> TSVDFactors:
 def slice_factors(a: Tensor3, k: int, sketch: bool = False):
     """truncated_tsvd's factors of the half-spectrum DFT slices, (u, sigma, vh)
     of shapes (h, n1, k), (h, k) and (h, k, n2) for h = n3 // 2 + 1; with
-    sketch, leading_atoms' approximate ones, factored on the calling thread."""
+    sketch, leading_atoms' approximate ones. Either way every slice is
+    factored on the calling thread."""
     n1, n2, n3 = a.shape
     k = positive_int(k, "truncation width k", high=min(n1, n2), error=RankOutOfRange)
     # factor the orientation with at least as many rows as columns, so the
@@ -224,14 +190,16 @@ def slice_factors(a: Tensor3, k: int, sketch: bool = False):
     # either way the stack is private, spectrum's or its contiguous copy,
     # which replaces it, so it is scaled in place: an exact power-of-two
     # scale per slice, undone on sigma, keeps the Gram from overflowing or
-    # underflowing where the slice itself does not
+    # underflowing where the slice itself does not. The exponent is taken
+    # from the largest real or imaginary part, which bounds every |z| within
+    # sqrt(2), so no complex magnitude is computed
     stack = np.ascontiguousarray(stack)
-    _, exp = np.frexp(np.abs(stack).max(axis=(1, 2)))
     parts = stack.view(np.float64)
+    _, exp = np.frexp(np.abs(parts).max(axis=(1, 2)))
     np.ldexp(parts, -exp[:, None, None], out=parts)
     try:
         u, sig, vh = (_sketched_triplets(stack, k) if sketch
-                      else _over_slices(_leading_triplets, stack, k))
+                      else _leading_triplets(stack, k))
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure("slice factorization did not converge") from exc
     sig = np.ldexp(sig, exp[:, None])
@@ -283,7 +251,7 @@ def leading_atoms(a: Tensor3, s: int) -> list[RankOneAtom]:
     s = positive_int(s, "atom count s", high=min(n1, n2), error=RankOutOfRange)
     factors = None
     # a sketch as wide as the slice took 1.6-2.5 times as long as the exact
-    # factorization on narrow shapes from 10x9x4 to 64x48x8, one worker
+    # factorization on narrow shapes from 10x9x4 to 64x48x8
     if s + SKETCH_OVERSAMPLE < min(n1, n2):
         factors = _assemble(*slice_factors(a, s, sketch=True), n3)
         if factors.tube_norms()[0] < _safe_norm(a) / math.sqrt(min(n1, n2)):

@@ -1,5 +1,6 @@
 """Unit tests for the tubal SVD and rank-one atom extraction."""
 
+import math
 import multiprocessing
 import os
 import sys
@@ -172,6 +173,28 @@ def test_leading_atoms_at_extreme_magnitudes(scale):
     np.testing.assert_allclose(tubes, scale * truncated_tsvd(a, 2).tube_norms(), rtol=1e-12)
 
 
+@pytest.mark.parametrize("e", [-600, -1, 1, 600])
+def test_power_of_two_scaling_is_exact(e):
+    # each slice is scaled by the power of two at its largest part before it
+    # is factored, so a power-of-two scale of the input moves no bit of u
+    # or v and scales s and the tube norms exactly; (9, 7, 8) at s = 2 takes
+    # leading_atoms' exact path and (30, 24, 4) its sketch
+    rng = np.random.default_rng(222)
+    for shape in ((9, 7, 8), (6, 11, 9), (30, 24, 4)):
+        a = rng.standard_normal(shape)
+        scaled, plain = truncated_tsvd(2.0 ** e * a, 2), truncated_tsvd(a, 2)
+        np.testing.assert_array_equal(scaled.u, plain.u)
+        np.testing.assert_array_equal(scaled.v, plain.v)
+        np.testing.assert_array_equal(scaled.s, np.ldexp(plain.s, e))
+        got, want = leading_atoms(2.0 ** e * a, 2), leading_atoms(a, 2)
+        assert len(got) == len(want) == 2
+        for g, w in zip(got, want):
+            assert g.tube_norm == math.ldexp(w.tube_norm, e)
+            np.testing.assert_array_equal(g.atom, w.atom)
+            np.testing.assert_array_equal(g.w, w.w)
+            np.testing.assert_array_equal(g.v, w.v)
+
+
 def test_truncated_tsvd_with_one_huge_entry():
     rng = np.random.default_rng(216)
     a = rng.standard_normal((32, 32, 6))
@@ -196,27 +219,11 @@ def test_truncated_tsvd_is_independent_of_the_input_memory_order(shape):
     np.testing.assert_array_equal(c.v, f.v)
 
 
-@pytest.mark.parametrize("shape", [(9, 7, 8), (6, 11, 9), (5, 5, 1)])
-def test_truncated_tsvd_is_independent_of_the_worker_count(shape, monkeypatch):
-    rng = np.random.default_rng(217)
-    a = rng.standard_normal(shape)
-    results = []
-    for workers in (1, 2, 3):
-        monkeypatch.setattr(tsvd_module, "_worker_count", lambda: workers)
-        results.append(truncated_tsvd(a, 3))
-    for f in results[1:]:
-        np.testing.assert_array_equal(f.u, results[0].u)
-        np.testing.assert_array_equal(f.s, results[0].s)
-        np.testing.assert_array_equal(f.v, results[0].v)
-
-
-def test_concurrent_callers_get_the_serial_result(monkeypatch):
-    # more workers and callers than cores, with frequent thread switches
+def test_concurrent_callers_get_the_serial_result():
+    # more callers than cores, with frequent thread switches
     rng = np.random.default_rng(220)
     inputs = [rng.standard_normal((9, 8, 10)) for _ in range(6)]
-    monkeypatch.setattr(tsvd_module, "_worker_count", lambda: 1)
     expected = [truncated_tsvd(a, 2) for a in inputs]
-    monkeypatch.setattr(tsvd_module, "_worker_count", lambda: 4)
     results = [None] * len(inputs)
 
     def call(i):
@@ -240,21 +247,13 @@ def test_concurrent_callers_get_the_serial_result(monkeypatch):
         np.testing.assert_array_equal(got.v, want.v)
 
 
-def test_no_worker_thread_outlives_the_call(monkeypatch):
-    monkeypatch.setattr(tsvd_module, "_worker_count", lambda: 3)
-    truncated_tsvd(np.random.default_rng(221).standard_normal((8, 8, 8)), 2)
-    workers = [t.name for t in threading.enumerate() if t.name.startswith("tpursuit")]
-    assert workers == []
-
-
 def _factor_and_exit():
     truncated_tsvd(np.random.default_rng(218).standard_normal((8, 8, 8)), 2)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-def test_forked_child_can_factor_after_the_parent_did(monkeypatch):
-    monkeypatch.setattr(tsvd_module, "_worker_count", lambda: 2)
-    _factor_and_exit()  # the parent's pool now has a worker thread
+def test_forked_child_can_factor_after_the_parent_did():
+    _factor_and_exit()
     child = multiprocessing.get_context("fork").Process(target=_factor_and_exit)
     child.start()
     child.join(timeout=30)
@@ -527,14 +526,8 @@ def _assert_same_atoms(got, want):
         np.testing.assert_array_equal(g.v, w.v)
 
 
-def _no_worker_split(fn, stack, *args):
-    raise AssertionError("the sketch path split slices over workers")
-
-
 @pytest.mark.parametrize("shape", SKETCH_SHAPES)
-def test_sketched_atoms_are_byte_identical_across_calls_and_orders(shape, monkeypatch):
-    # the sketch runs on the calling thread, so no worker count can reach it
-    monkeypatch.setattr(tsvd_module, "_over_slices", _no_worker_split)
+def test_sketched_atoms_are_byte_identical_across_calls_and_orders(shape):
     a = np.random.default_rng(234).standard_normal(shape)
     want = leading_atoms(a, 3)
     _assert_same_atoms(leading_atoms(a, 3), want)
@@ -542,8 +535,7 @@ def test_sketched_atoms_are_byte_identical_across_calls_and_orders(shape, monkey
     _assert_same_atoms(leading_atoms(np.ascontiguousarray(a), 3), want)
 
 
-def test_runs_on_sketched_atoms_are_byte_identical(monkeypatch):
-    monkeypatch.setattr(tsvd_module, "_over_slices", _no_worker_split)
+def test_runs_on_sketched_atoms_are_byte_identical():
     dims = (48, 48, 8)
     y = sample_rank_r_unit(dims, 4, np.random.default_rng(235))
     phi = measure.sampling_map(measure.random_mask(dims, 0.5, seed=235))
