@@ -113,12 +113,13 @@ class DenseMap:
         self._chol = None
 
     def _cholesky(self) -> np.ndarray:
-        # upper Cholesky factor U of matrix @ matrix.T = U'U, built and
-        # checked on first use. The Gram is symmetric and C-ordered, so its
-        # transpose view is the same matrix in the column-major layout LAPACK
-        # reads: potrf overwrites it with U in place, the strictly lower part
-        # zeroed, and the solves neither copy nor re-check it. scipy loads
-        # here, on the first factorization, not with the package.
+        # upper factor U of matrix @ matrix.T = U'U, the Gram's Cholesky
+        # factor or R of a QR of matrix.T, built and checked on first use.
+        # The Gram is symmetric and C-ordered, so its transpose view is the
+        # same matrix in the column-major layout LAPACK reads: potrf
+        # overwrites it with U in place, the strictly lower part zeroed,
+        # and the solves neither copy nor re-check it. scipy loads here, on
+        # the first factorization, not with the package.
         if self._chol is None:
             from scipy.linalg import LinAlgError, cholesky
             gram = self.matrix @ self.matrix.T
@@ -129,17 +130,28 @@ class DenseMap:
             floor = 100.0 * gram.shape[0] * np.finfo(np.float64).eps * np.diag(gram).max()
             try:
                 chol = cholesky(gram.T, lower=False, overwrite_a=True, check_finite=False)
-            except LinAlgError as exc:
-                raise RankDeficientMap(
-                    "dense measurement rows are numerically dependent"
-                ) from exc
+            except LinAlgError:
+                chol = None
             # exactly dependent rows can still factor with a pivot at the
-            # rounding floor of the Gram; treat those as deficient too
-            pivots = np.diag(chol) ** 2
-            if pivots.min() <= floor:
-                raise RankDeficientMap("dense measurement rows are numerically dependent")
+            # rounding floor of the Gram; those, and a Gram that potrf
+            # refuses, go to the QR factor, which sees the map's own
+            # condition number rather than its square
+            if chol is None or (np.diag(chol) ** 2).min() <= floor:
+                del gram, chol
+                chol = self._qr_factor()
             self._chol = chol
         return self._chol
+
+    def _qr_factor(self) -> np.ndarray:
+        # R of matrix.T = QR, upper and column-major, so R'R = matrix @ matrix.T;
+        # rows are dependent when there are more than N of them or when R's
+        # smallest pivot is at the rounding floor of its largest
+        r = np.linalg.qr(self.matrix.T, mode="r")
+        pivots = np.abs(np.diag(r))
+        floor = max(self.m, self.n) * np.finfo(np.float64).eps * pivots.max()
+        if r.shape[0] < self.m or pivots.min() < floor:
+            raise RankDeficientMap("dense measurement rows are numerically dependent")
+        return np.asfortranarray(r)
 
     def measure(self, v: np.ndarray) -> np.ndarray:
         return v @ self.matrix.T
@@ -244,7 +256,8 @@ def whiten(phi: MeasurementMap, v: np.ndarray) -> np.ndarray:
     """Map measured vectors, of shape (m,) or (m, k), to coordinates where
     the projected-tensor inner product is the plain dot product. Sampling
     maps are row-orthonormal already and return v itself; dense maps solve
-    with U' for the upper Cholesky factor U of phi phi' = U'U.
+    with U' for the upper factor U of phi phi' = U'U: its Cholesky factor,
+    or R of a QR of phi' when the Gram is too ill conditioned to factor.
 
     Every measured vector the package takes passes through here: raises
     ShapeMismatch unless v has phi.m rows, and ValueError, for either kind

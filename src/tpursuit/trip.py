@@ -9,12 +9,19 @@ subgaussian ensembles the median distortion should fall like m^(-1/2).
 
 Probes are drawn, orthonormalized, assembled and measured a block at a
 time: one Gaussian draw per block, one batched QR over every half-spectrum
-slice of every probe, one inverse FFT, and one matrix product through the
-map. A block holds at most PROBE_BLOCK_ENTRIES // max(N, m) probes, so
-memory does not grow with the number of probes. Each probe consumes the
-same Gaussian numbers, in the same order, as a probe drawn on its own by
-``sample_rank_r_unit``, so the block size never changes a result beyond
-rounding and the seeding of ``scaling_study`` is independent of it.
+slice of every probe, one inverse FFT, and one matrix product. A probe's
+energy ||phi(x)||^2 is also x'Gx for the N x N normal matrix G = phi'phi.
+A dense map forms G once, by one ``matrix.T @ matrix``, when that is the
+cheaper association: when N <= m, so G is no larger than phi, and when
+N (m/2 + n_samples) <= n_samples m, the multiply-adds of forming G and of
+x G against those of phi x. Its blocks then hold at most
+PROBE_BLOCK_ENTRIES // N probes. Every other map, and every sampling map,
+measures its probes with ``apply`` in blocks of at most
+PROBE_BLOCK_ENTRIES // max(N, m). Either way memory does not grow with
+the number of probes. Each probe consumes the same Gaussian numbers, in
+the same order, as a probe drawn on its own by ``sample_rank_r_unit``, so
+neither the block size nor the association changes a result beyond
+rounding, and the seeding of ``scaling_study`` is independent of both.
 """
 
 from __future__ import annotations
@@ -23,12 +30,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalFailure, RankOutOfRange
-from .measure import ENSEMBLES, MeasurementMap, apply
+from .errors import NumericalFailure, RankOutOfRange, ShapeMismatch
+from .measure import ENSEMBLES, DenseMap, MeasurementMap, apply
 from .tensor import Tensor3, from_spectrum, positive_int, spectrum, tensor_dims
 
 # a block of probes holds count * max(N, m) <= PROBE_BLOCK_ENTRIES entries
-# in its probe stack and in its measurements (at least one probe)
+# in its probe stack and in its measurements, or count * N in its probe
+# stack and in x G when measured through G = phi'phi (at least one probe);
+# G itself holds N^2 <= N m entries, no more than the map
 PROBE_BLOCK_ENTRIES = 2**16
 
 
@@ -116,22 +125,45 @@ def sample_rank_r_unit(dims, r: int, rng) -> Tensor3:
     return _sample_probes(dims, r, 1, rng)[0]
 
 
+def _normal_matrix(phi: MeasurementMap, n_samples: int) -> np.ndarray | None:
+    # G = phi'phi for a dense map on which x'Gx costs less than ||phi x||^2:
+    # G no larger than phi, and forming it (syrk, N^2 m / 2 multiply-adds)
+    # plus x G (n_samples N^2) below phi x (n_samples N m); None otherwise
+    if not isinstance(phi, DenseMap):
+        return None
+    n, m = phi.n, phi.m
+    if n > m or n * (m + 2 * n_samples) > 2 * n_samples * m:
+        return None
+    return phi.matrix.T @ phi.matrix
+
+
 def empirical_delta(phi: MeasurementMap, dims, r: int, n_samples: int, rng) -> float:
     """Worst distortion of n_samples unit rank-r probes under phi.
 
     A sampled lower bound on the restricted isometry constant: the true
     constant takes a supremum over the whole rank-r set. Probes are drawn
-    and measured in blocks of at most PROBE_BLOCK_ENTRIES // max(N, m).
-    Raises ValueError unless n_samples is an integer >= 1, and
-    RankOutOfRange unless r is an integer in [1, min(n1, n2)].
+    and measured in blocks of at most PROBE_BLOCK_ENTRIES // max(N, m),
+    or of PROBE_BLOCK_ENTRIES // N on a dense map whose normal matrix
+    phi'phi measures them more cheaply (see the module docstring).
+    Raises ValueError unless n_samples is an integer >= 1, RankOutOfRange
+    unless r is an integer in [1, min(n1, n2)], and ShapeMismatch unless
+    dims are the map's.
     """
     n_samples = positive_int(n_samples, "n_samples")
-    block = max(1, PROBE_BLOCK_ENTRIES // max(phi.n, phi.m))
+    if tensor_dims(dims) != phi.dims:
+        raise ShapeMismatch(f"probe dims {tuple(dims)} do not match map dims {phi.dims}")
+    gram = _normal_matrix(phi, n_samples)
+    block = max(1, PROBE_BLOCK_ENTRIES // (phi.n if gram is not None else max(phi.n, phi.m)))
     worst = 0.0
     for start in range(0, n_samples, block):
         probes = _sample_probes(dims, r, min(block, n_samples - start), rng)
-        bx = apply(phi, probes)
-        energy = np.einsum("ij,ij->i", bx, bx)
+        if gram is None:
+            bx = apply(phi, probes)
+            energy = np.einsum("ij,ij->i", bx, bx)
+        else:
+            # each probe's storage-order row, a free view of the Fortran-ordered stack
+            x = probes.transpose(0, 3, 2, 1).reshape(len(probes), phi.n)
+            energy = np.einsum("ij,ij->i", x @ gram, x)
         worst = max(worst, float(np.max(np.abs(energy - 1.0))))
     return worst
 

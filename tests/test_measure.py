@@ -285,6 +285,41 @@ def test_rank_deficient_dense_map():
         ms.pinv_apply(phi, np.zeros(3))
 
 
+def test_square_ill_conditioned_dense_map_falls_back_to_qr():
+    # a square 4x4x4 map with singular values from 1 to 1e-7: the Gram's
+    # smallest Cholesky pivot sits at its rounding floor, so the factor is R
+    # of phi' = QR, and recovery loses only the map's condition number
+    rng = np.random.default_rng(310)
+    n = 64
+    left = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    right = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    mat = (left * np.logspace(0, -7, n)) @ right.T
+    gram = mat @ mat.T
+    floor = 100.0 * n * np.finfo(np.float64).eps * np.diag(gram).max()
+    try:
+        pivots = np.diag(scipy.linalg.cholesky(gram)) ** 2
+        assert pivots.min() <= floor
+    except scipy.linalg.LinAlgError:
+        pass
+    phi = ms.dense_map(mat, (4, 4, 4))
+    factor = phi._cholesky()
+    assert factor.flags.f_contiguous
+    assert np.all(np.tril(factor, -1) == 0)
+    np.testing.assert_allclose(factor.T @ factor, gram, atol=1e-14)
+    x = rng.standard_normal((4, 4, 4))
+    back = ms.pinv_apply(phi, ms.apply(phi, x))
+    # a backward-stable solve errs by about cond(phi) * eps = 2.2e-9
+    bound = 10 * 1e7 * np.finfo(np.float64).eps
+    assert np.linalg.norm(back - x) <= bound * np.linalg.norm(x)
+
+
+def test_dense_map_with_more_rows_than_entries_is_rank_deficient():
+    # m > N rows are dependent however they are drawn, Gram or QR
+    phi = ms.gaussian_ensemble(40, (2, 3, 4), seed=311)
+    with pytest.raises(RankDeficientMap):
+        ms.pinv_apply(phi, np.ones(40))
+
+
 def test_dense_map_whose_gram_overflows():
     rng = np.random.default_rng(308)
     phi = ms.dense_map(1e160 * rng.standard_normal((5, 24)), (2, 3, 4))

@@ -1,6 +1,7 @@
 """Unit tests for the empirical restricted isometry study."""
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -58,22 +59,69 @@ def test_probe_blocks_match_the_per_probe_construction(dims, r):
 @pytest.mark.parametrize("dims,r", PROBE_SHAPES)
 def test_empirical_delta_is_the_worst_per_probe_distortion(dims, r, monkeypatch):
     n = dims[0] * dims[1] * dims[2]
-    maps = (
-        gaussian_ensemble(max(1, n // 2), dims, seed=41),
-        sampling_map(random_mask(dims, 0.3, seed=41)),
+    # (map, probe count, measured through G = phi'phi): a wide Gaussian map
+    # and a sampling map measure with apply; on a Gaussian map with m = 4N
+    # and N probes, forming G and x G costs less than phi x
+    cases = (
+        (gaussian_ensemble(max(1, n // 2), dims, seed=41), 10, False),
+        (sampling_map(random_mask(dims, 0.3, seed=41)), 10, False),
+        (gaussian_ensemble(4 * n, dims, seed=41), n, True),
     )
     default_entries = trip.PROBE_BLOCK_ENTRIES
-    for phi in maps:
+    measure_calls = []
+    monkeypatch.setattr(trip, "apply", lambda phi, x: measure_calls.append(len(x)) or apply(phi, x))
+    for phi, count, through_gram in cases:
         ref_rng = np.random.default_rng(505)
-        measured = [apply(phi, _reference_probe(dims, r, ref_rng)) for _ in range(10)]
+        measured = [apply(phi, _reference_probe(dims, r, ref_rng)) for _ in range(count)]
         want = max(abs(float(bx @ bx) - 1.0) for bx in measured)
         # one block of everything, and blocks of 3 probes so the last is short
         for entries in (default_entries, 3 * max(n, phi.m)):
             monkeypatch.setattr(trip, "PROBE_BLOCK_ENTRIES", entries)
+            measure_calls.clear()
             rng = np.random.default_rng(505)
-            got = trip.empirical_delta(phi, dims, r, 10, rng)
+            got = trip.empirical_delta(phi, dims, r, count, rng)
             assert abs(got - want) <= 1e-12 * max(1.0, want)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
+            assert (sum(measure_calls) == 0) == through_gram
+
+
+def test_probes_through_the_normal_matrix_take_its_block_size(monkeypatch):
+    # on the G path a block holds count * N entries, not count * m
+    dims = (4, 4, 2)
+    n = 32
+    phi = gaussian_ensemble(8 * n, dims, seed=43)
+    blocks = []
+    sample = trip._sample_probes
+    monkeypatch.setattr(trip, "_sample_probes",
+                        lambda *args: blocks.append(args[2]) or sample(*args))
+    monkeypatch.setattr(trip, "PROBE_BLOCK_ENTRIES", 10 * n)
+    trip.empirical_delta(phi, dims, 1, 25, np.random.default_rng(9))
+    assert blocks == [10, 10, 5]
+
+
+def test_probes_on_a_large_map_form_no_normal_matrix():
+    # N = 2048, m = 4096 and 20 probes: phi x is cheaper than forming the
+    # N x N normal matrix, so the probes are measured with apply and no
+    # N x N array (8 N^2 bytes) is allocated
+    dims = (16, 16, 8)
+    n = 2048
+    phi = gaussian_ensemble(2 * n, dims, seed=44)
+    rng = np.random.default_rng(45)
+    tracemalloc.start()
+    try:
+        delta = trip.empirical_delta(phi, dims, 2, 20, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * n, peak / (8 * n * n)
+    assert 0.0 <= delta < 1.0
+
+
+def test_empirical_delta_refuses_dims_other_than_the_maps():
+    # (4, 4, 2) has the map's N = 32 but not its dims
+    phi = gaussian_ensemble(128, (2, 4, 4), seed=46)
+    with pytest.raises(ShapeMismatch):
+        trip.empirical_delta(phi, (4, 4, 2), 1, 40, np.random.default_rng(0))
 
 
 def test_probes_have_unit_norm_and_requested_rank():
