@@ -39,6 +39,11 @@ EXIT_NUMERICAL = 5
 METRICS_HEADER = ("iter", "residual_norm", "rate_bound", "elapsed_ms")
 STUDY_HEADER = ("m", "delta_median", "delta_q1", "delta_q3", "trials", "samples")
 
+# the library's names for the counts whose bounds depend on other input,
+# which main replaces by the flags that give them
+LIBRARY_NAMES = (("target rank r", "--rank"), ("probe rank r", "--rank"),
+                 ("batch size s", "--batch"))
+
 
 class _Parser(argparse.ArgumentParser):
     """Refuses a bad command line in one line, exit 2; its subparsers too."""
@@ -62,24 +67,24 @@ def _parse_dims(text: str) -> tuple:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _parse_grid(text: str) -> tuple:
-    return tuple(map(_int_or_text, text.split(",")))
-
-
-def _nonnegative(kind, below=math.inf):
-    """A type= converter: the text as a kind (int or float) in [0, below)."""
+def _at_least(low, kind, below=math.inf):
+    """A type= converter: the text as a kind (int or float) in [low, below)."""
     noun = "an integer" if kind is int else "a finite number"
-    rule = ">= 0" if below == math.inf else f"in [0, {below:g})"
+    rule = f">= {low}" if below == math.inf else f"in [{low}, {below:g})"
 
     def convert(text: str):
         try:
             value = kind(text)
         except ValueError:
             value = math.nan
-        if not 0 <= value < below:
+        if not low <= value < below:
             raise argparse.ArgumentTypeError(f"must be {noun} {rule}, got {text!r}")
         return value
     return convert
+
+
+def _parse_grid(text: str) -> tuple:
+    return tuple(map(_at_least(1, int), text.split(",")))
 
 
 def _add_noise(y: Tensor3, sigma: float, seed: int) -> Tensor3:
@@ -215,11 +220,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_pursuit_flags(p):
-        p.add_argument("--rank", type=int, required=True, help="target tubal rank r")
-        p.add_argument("--batch", type=int, default=1, help="atoms added per iteration")
+        p.add_argument("--rank", type=_at_least(1, int), required=True, help="target tubal rank r")
+        p.add_argument("--batch", type=_at_least(1, int), default=1, help="atoms added per iteration")
         p.add_argument("--variant", choices=("standard", "economic"), default="standard")
-        p.add_argument("--seed", type=_nonnegative(int), default=0)
-        p.add_argument("--noise-sigma", dest="noise_sigma", type=_nonnegative(float), default=0.0,
+        p.add_argument("--seed", type=_at_least(0, int), default=0)
+        p.add_argument("--noise-sigma", dest="noise_sigma", type=_at_least(0, float), default=0.0,
                        help="additive Gaussian noise level on [0, 1]-normalized intensities")
         p.add_argument("--in", dest="infile", required=True, help="input .t3b tensor")
         p.add_argument("--out", required=True, help="output .t3b reconstruction")
@@ -227,8 +232,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="draw a random low-tubal-rank tensor")
     p.add_argument("--dims", type=_parse_dims, required=True, help="N1xN2xN3")
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--seed", type=_nonnegative(int), default=0)
+    p.add_argument("--rank", type=_at_least(1, int), required=True)
+    p.add_argument("--seed", type=_at_least(0, int), default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 
@@ -236,7 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_pursuit_flags(p)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--mask", default=None, help="mask file (.msk)")
-    group.add_argument("--missing", type=_nonnegative(float, below=1.0), default=None,
+    group.add_argument("--missing", type=_at_least(0, float, below=1.0), default=None,
                        help="missing ratio for a seeded random mask")
     p.set_defaults(func=cmd_complete)
 
@@ -248,12 +253,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trip", help="empirical restricted isometry scaling study")
     p.add_argument("--dims", type=_parse_dims, required=True, help="N1xN2xN3")
-    p.add_argument("--rank", type=int, required=True)
+    p.add_argument("--rank", type=_at_least(1, int), required=True)
     p.add_argument("--m-grid", dest="m_grid", type=_parse_grid, required=True, help="comma-separated counts")
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--samples", type=_at_least(1, int), default=200)
+    p.add_argument("--trials", type=_at_least(1, int), default=20)
     p.add_argument("--ensemble", choices=tuple(ENSEMBLES), default="gaussian")
-    p.add_argument("--seed", type=_nonnegative(int), default=0)
+    p.add_argument("--seed", type=_at_least(0, int), default=0)
     p.add_argument("--out", required=True, help="study CSV path")
     p.set_defaults(func=cmd_trip)
 
@@ -283,7 +288,11 @@ def main(argv=None) -> int:
         error, code = exc, EXIT_USAGE
     except (NumericalFailure, RankDeficientMap, DivergenceDetected) as exc:
         error, code = exc, EXIT_NUMERICAL
-    print(f"tpursuit: {error}", file=sys.stderr)
+    message = str(error)
+    for name, flag in LIBRARY_NAMES:
+        if message.startswith(f"{name} "):
+            message = flag + message[len(name):]
+    print(f"tpursuit: {message}", file=sys.stderr)
     return code
 
 

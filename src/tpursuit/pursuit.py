@@ -288,9 +288,7 @@ def run(b: np.ndarray, phi: MeasurementMap, cfg: PursuitConfig) -> PursuitResult
     """
     positive_int(cfg.r, "target rank r", high=min(phi.dims[:2]), error=RankOutOfRange)
     residual = pinv_apply(phi, b)
-    # an overflow is refused below in one message, without numpy's warning
-    with np.errstate(over="ignore"):
-        r0_norm = frobenius_norm(residual)
+    r0_norm = frobenius_norm(residual)
     if not math.isfinite(r0_norm):
         raise NumericalFailure(f"backprojection norm is {r0_norm}; the measurements overflow")
     wb = whiten(phi, np.ravel(b))
@@ -400,10 +398,16 @@ def refine(b: np.ndarray, phi: MeasurementMap, yhat: Tensor3, r: int) -> Tensor3
     """
     n1, n2, n3 = phi.dims
     r = positive_int(r, "refit rank r", high=min(n1, n2), error=RankOutOfRange)
-    yhat = as_tensor3(yhat)
-    if yhat.shape != phi.dims:
-        raise ShapeMismatch(f"estimate shape {yhat.shape} does not match map dims {phi.dims}")
-    wb = whiten(phi, np.ravel(b))
+    start = as_tensor3(yhat)
+    if start.shape != phi.dims:
+        raise ShapeMismatch(f"estimate shape {start.shape} does not match map dims {phi.dims}")
+    # the misfit is squared, so b and yhat are divided by the power of two
+    # at max|b| and the result multiplied back: an exact scale, under which
+    # every step, lam included, scales with b
+    b = np.asarray(b, dtype=np.float64).ravel()
+    _, exp = np.frexp(np.max(np.abs(b), initial=0.0))
+    wb = whiten(phi, np.ldexp(b, -exp))
+    yhat = np.ldexp(start, -exp)
     u, sig, vh = slice_factors(yhat, min(r + 1, n1, n2))
     # the tensor inner product counts DC and Nyquist once, other slices twice
     w = np.where(2 * np.arange(len(sig)) % n3 == 0, 1.0, 2.0) / n3
@@ -449,7 +453,7 @@ def refine(b: np.ndarray, phi: MeasurementMap, yhat: Tensor3, r: int) -> Tensor3
             break
         g_old, gg_old, u_old, v_old = g, gg, u, v
         u, s, v = _retract(u, s, v, d, -slope / curvature)
-    return yhat.copy(order="F") if best_x is None else best_x
+    return start.copy(order="F") if best_x is None else np.ldexp(best_x, exp, out=best_x)
 
 
 def check_rate(result: PursuitResult, phi_inv_b_norm: float) -> bool:

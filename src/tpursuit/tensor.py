@@ -108,9 +108,20 @@ def tprod(a: Tensor3, b: Tensor3) -> Tensor3:
 def frobenius_norm(a: np.ndarray) -> float:
     """Frobenius norm of a real array, summed by np.einsum rather than BLAS:
     OpenBLAS splits a dot product of more than 10000 entries over its
-    threads, so the norm's low bits would depend on how many it runs."""
+    threads, so the norm's low bits would depend on how many it runs.
+    Outside [2**-450, 2**450], where the plain sum may have overflowed or
+    lost its small terms, it sums again over the array scaled by the power
+    of two at its largest magnitude (Blue, ACM TOMS, 1978), an exact scale:
+    the norm of 2**e * a is 2**e times the norm of a."""
     x = np.ravel(a, order="K")
-    return math.sqrt(float(np.einsum("i,i->", x, x)))
+    norm = math.sqrt(float(np.einsum("i,i->", x, x)))
+    if 2.0 ** -450 <= norm <= 2.0 ** 450:
+        return norm
+    _, exp = np.frexp(np.max(np.abs(x), initial=0.0))
+    x = np.ldexp(x, -exp)
+    # a norm past the largest float is inf, without numpy's warning
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(math.sqrt(float(np.einsum("i,i->", x, x))), exp))
 
 
 def rmse(x: Tensor3, y: Tensor3) -> float:
@@ -118,7 +129,7 @@ def rmse(x: Tensor3, y: Tensor3) -> float:
     if x.shape != y.shape:
         raise ShapeMismatch(f"rmse needs equal shapes, got {x.shape} and {y.shape}")
     diff = np.asarray(x, dtype=np.float64) - np.asarray(y, dtype=np.float64)
-    return float(np.sqrt((diff**2).sum() / diff.size))
+    return frobenius_norm(diff) / math.sqrt(diff.size)
 
 
 def write_t3b(path, a: Tensor3) -> None:

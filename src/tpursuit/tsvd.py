@@ -210,18 +210,6 @@ def slice_factors(a: Tensor3, k: int, sketch: bool = False):
     return u, sig, vh
 
 
-def _safe_norm(a: np.ndarray) -> float:
-    """frobenius_norm of a, computed again on a scaled by the power of two at
-    its largest magnitude where the unscaled sum of squares may have
-    overflowed or lost its small terms, outside [2**-900, 2**900]. Only
-    then does it pay for the scaled copy."""
-    norm = frobenius_norm(a)
-    if 2.0 ** -450 <= norm <= 2.0 ** 450:
-        return norm
-    _, exp = np.frexp(np.abs(a).max())
-    return math.ldexp(frobenius_norm(np.ldexp(a, -exp)), int(exp))
-
-
 def tubal_rank(a: Tensor3) -> int:
     """Number of singular tubes with norm above RANK_REL_TOL times the
     leading one; 0 for a zero tensor."""
@@ -254,7 +242,7 @@ def leading_atoms(a: Tensor3, s: int) -> list[RankOneAtom]:
     # factorization on narrow shapes from 10x9x4 to 64x48x8
     if s + SKETCH_OVERSAMPLE < min(n1, n2):
         factors = _assemble(*slice_factors(a, s, sketch=True), n3)
-        if factors.tube_norms()[0] < _safe_norm(a) / math.sqrt(min(n1, n2)):
+        if factors.tube_norms()[0] < frobenius_norm(a) / math.sqrt(min(n1, n2)):
             factors = None
     if factors is None:
         factors = truncated_tsvd(a, s)

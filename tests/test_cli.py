@@ -227,7 +227,10 @@ def test_a_noise_level_that_overflows_is_one_usage_error(tmp_path, capsys, comma
 
 def _one_refusal(argv, capsys):
     """The exit code and the one stderr line of a run that prints no record."""
-    code = cli.main([str(a) for a in argv])
+    try:
+        code = cli.main([str(a) for a in argv])
+    except SystemExit as exc:  # the parser's refusals
+        code = exc.code
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("tpursuit: ") and captured.err.count("\n") == 1, captured.err
@@ -235,17 +238,17 @@ def _one_refusal(argv, capsys):
 
 
 @pytest.mark.parametrize("command", ["complete", "sense"])
-def test_noise_whose_noisy_norm_overflows_is_one_usage_error(tmp_path, capsys, command):
-    # the noisy entries, about 1e200, are finite, but their Frobenius norm
-    # is not; refused as noise, not left to the pursuit's exit 5
+def test_noise_whose_noisy_norm_passes_1e154_is_recovered(tmp_path, capsys, command):
+    # the noisy entries, about 1e200, are finite, and so is their Frobenius
+    # norm, though its plain sum of squares overflows
     src, _ = synth(tmp_path, capsys)
     out = tmp_path / "r.t3b"
     extra = ["--missing", "0.5"] if command == "complete" else ["--m", "40"]
-    code, err = _one_refusal([command, "--in", src, "--out", out, "--rank", 2,
-                              "--noise-sigma", "1e200", *extra], capsys)
-    assert code == cli.EXIT_USAGE
-    assert "--noise-sigma 1e+200 overflows" in err
-    assert not out.exists()
+    code, record = run_cli([command, "--in", src, "--out", out, "--rank", 2,
+                            "--noise-sigma", "1e200", *extra], capsys)
+    assert code == 0
+    assert np.isfinite(record["rmse"])
+    assert out.exists()
 
 
 def test_the_largest_noise_level_on_a_small_tensor_is_one_usage_error(tmp_path, capsys):
@@ -259,15 +262,16 @@ def test_the_largest_noise_level_on_a_small_tensor_is_one_usage_error(tmp_path, 
     assert "--noise-sigma 1e+308 overflows" in err
 
 
-def test_measurements_whose_norm_overflows_are_one_numerical_failure(tmp_path, capsys):
+def test_measurements_whose_norm_passes_1e154_are_recovered(tmp_path, capsys):
+    # every entry is finite, and so is the norm of the measurements
     src = tmp_path / "huge.t3b"
     write_t3b(src, np.full((6, 6, 4), 1e200))
     out = tmp_path / "r.t3b"
-    code, err = _one_refusal(["complete", "--in", src, "--out", out, "--rank", 2,
-                              "--missing", 0.5], capsys)
-    assert code == cli.EXIT_NUMERICAL
-    assert err == "tpursuit: backprojection norm is inf; the measurements overflow\n"
-    assert not out.exists()
+    code, record = run_cli(["complete", "--in", src, "--out", out, "--rank", 2,
+                            "--missing", 0.5], capsys)
+    assert code == 0
+    assert np.isfinite(record["rmse"])
+    assert out.exists()
 
 
 def test_complete_missing_input(tmp_path, capsys):
@@ -311,6 +315,44 @@ def test_pursuit_rank_above_min_n1_n2(tmp_path, capsys):
         code, _ = run_cli([*flags, "--in", src, "--out", out, "--rank", 9], capsys)
         assert code == cli.EXIT_USAGE
         assert not out.exists()
+
+
+TRIP_4X4 = ["trip", "--dims", "4x4x2", "--rank", "1", "--m-grid", "8", "--samples", "2",
+            "--trials", "1"]
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--m-grid", "8,a"], "argument --m-grid: must be an integer >= 1, got 'a'"),
+    (["--samples", "0"], "argument --samples: must be an integer >= 1, got '0'"),
+    (["--trials", "0"], "argument --trials: must be an integer >= 1, got '0'"),
+    (["--rank", "9"], "--rank must be an integer >= 1 and <= 4, got 9"),
+], ids=["m-grid", "samples", "trials", "rank"])
+def test_a_trip_count_out_of_range_is_refused_by_its_flag(tmp_path, capsys, flags, message):
+    out = tmp_path / "study.csv"
+    argv = [*TRIP_4X4, "--out", str(out)]
+    argv[argv.index(flags[0]) + 1] = flags[1]
+    assert _one_refusal(argv, capsys) == (cli.EXIT_USAGE, f"tpursuit: {message}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--rank", "9"], "--rank must be an integer >= 1 and <= 4, got 9"),
+    (["--rank", "0"], "argument --rank: must be an integer >= 1, got '0'"),
+    (["--rank", "2", "--batch", "3"], "--batch must be an integer >= 1 and <= 2, got 3"),
+    (["--rank", "2", "--batch", "0"], "argument --batch: must be an integer >= 1, got '0'"),
+], ids=["rank-high", "rank-zero", "batch-high", "batch-zero"])
+def test_a_pursuit_count_out_of_range_is_refused_by_its_flag(tmp_path, capsys, flags, message):
+    src, _ = synth(tmp_path, capsys, dims="4x4x2", rank=1)
+    out = tmp_path / "r.t3b"
+    argv = ["complete", "--in", src, "--out", out, "--missing", 0.5, *flags]
+    assert _one_refusal(argv, capsys) == (cli.EXIT_USAGE, f"tpursuit: {message}\n")
+    assert not out.exists()
+
+
+def test_a_synth_rank_out_of_range_is_refused_by_its_flag(tmp_path, capsys):
+    argv = ["synth", "--dims", "4x4x2", "--rank", 5, "--out", tmp_path / "x.t3b"]
+    assert _one_refusal(argv, capsys) == (
+        cli.EXIT_USAGE, "tpursuit: --rank must be an integer >= 1 and <= 4, got 5\n")
 
 
 @pytest.mark.parametrize("m", [-3, 0, 257, 300])

@@ -213,6 +213,20 @@ def test_frobenius_norm_matches_spectrum_scaling():
         assert abs(tt.frobenius_norm(a) - spec / np.sqrt(n3)) <= 1e-10 * max(1.0, spec)
 
 
+def test_frobenius_norm_is_exact_under_any_power_of_two():
+    # the plain sum of squares overflows past 2**512 and loses its terms
+    # below 2**-537; the norm rescales there, by an exact power of two
+    a = np.random.default_rng(114).standard_normal((5, 4, 3))
+    ref = tt.frobenius_norm(a)
+    for e in (-1000, -600, -530, 530, 600, 1000):
+        assert tt.frobenius_norm(np.ldexp(a, e)) == np.ldexp(ref, e)
+    assert tt.frobenius_norm(np.zeros((0, 2, 3))) == 0.0
+    assert tt.frobenius_norm(np.full((2, 2, 2), 5e-324)) == np.sqrt(8) * 5e-324
+    assert tt.frobenius_norm(np.array([1.0, np.inf])) == np.inf
+    # a norm past the largest float is inf, without an overflow warning
+    assert tt.frobenius_norm(np.full(4, 1.5e308)) == np.inf
+
+
 def test_inner_matches_spectrum():
     rng = np.random.default_rng(113)
     for _ in range(20):
