@@ -42,7 +42,8 @@ STUDY_HEADER = ("m", "delta_median", "delta_q1", "delta_q3", "trials", "samples"
 # the library's names for the counts whose bounds depend on other input,
 # which main replaces by the flags that give them
 LIBRARY_NAMES = (("target rank r", "--rank"), ("probe rank r", "--rank"),
-                 ("batch size s", "--batch"))
+                 ("batch size s", "--batch"), ("the measurement count", "--m"),
+                 ("an m_grid entry", "--m-grid entry"))
 
 
 class _Parser(argparse.ArgumentParser):

@@ -174,18 +174,22 @@ sampling_map = SamplingMap
 dense_map = DenseMap
 
 
-def _ensemble_shape(m, dims) -> tuple:
-    # the m x N shape of an ensemble's matrix, checked before anything is drawn
-    shape = positive_int(m, "the measurement count"), math.prod(tensor_dims(dims))
-    _check_entries(*shape)
-    return shape
+def dense_shape(m, dims, name: str = "the measurement count") -> tuple:
+    """The m x N shape of a dense map on dims. Raises ValueError, naming m
+    by name, unless m is an integer >= 1 and m * N is within
+    DENSE_ENTRY_LIMIT."""
+    m, n = positive_int(m, name), math.prod(tensor_dims(dims))
+    if m * n > DENSE_ENTRY_LIMIT:
+        raise ValueError(f"{name} {m} needs a dense map of {m}x{n}, over the "
+                         f"{DENSE_ENTRY_LIMIT} entry limit")
+    return m, n
 
 
 def gaussian_ensemble(m: int, dims, seed) -> DenseMap:
     """iid N(0, 1/m) sensing matrix; E||phi(x)||^2 equals ||x||_F^2.
     Raises ValueError unless m is an integer >= 1 and m * N is within
     DENSE_ENTRY_LIMIT, before drawing."""
-    shape = _ensemble_shape(m, dims)
+    shape = dense_shape(m, dims)
     rng = np.random.default_rng(seed)
     # scaled in place, so the draw is the only m x N buffer
     matrix = rng.standard_normal(shape)
@@ -197,7 +201,7 @@ def rademacher_ensemble(m: int, dims, seed) -> DenseMap:
     """iid +-1/sqrt(m) sensing matrix; E||phi(x)||^2 equals ||x||_F^2.
     Raises ValueError unless m is an integer >= 1 and m * N is within
     DENSE_ENTRY_LIMIT, before drawing."""
-    shape = _ensemble_shape(m, dims)
+    shape = dense_shape(m, dims)
     rng = np.random.default_rng(seed)
     # one float copy of the integer draw, then every step in place
     matrix = rng.integers(0, 2, size=shape).astype(np.float64)

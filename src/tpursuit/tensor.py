@@ -2,10 +2,14 @@
 
 A tensor here is a plain real numpy array of shape ``(n1, n2, n3)``:
 ``n1 x n2`` frontal slices stacked along the last axis, with length-``n3``
-tubes running through them. The tensor product convolves tubes circularly,
-so every product reduces to independent complex matrix products across the
-DFT slices. Real input has conjugate-symmetric DFT slices, hence only the
-first ``n3 // 2 + 1`` slices are ever computed and the rest are mirrored.
+tubes running through them. The tensor product convolves tubes circularly.
+When each entry of a product sums at most DIRECT_CONTRACTION products,
+``tprod`` computes it as one real matrix product with the block circulant
+of its right factor, the t-product's definition, since there an FFT along
+strided tubes costs more than the short sums it replaces. Longer products
+reduce to independent complex matrix products across the DFT slices.
+Real input has conjugate-symmetric DFT slices, hence only the first
+``n3 // 2 + 1`` slices are ever computed and the rest are mirrored.
 
 Entry ``(i, j, k)`` of a tensor lives at linear offset
 ``k*n1*n2 + j*n1 + i`` (zero-based), which is Fortran order for shape
@@ -23,6 +27,7 @@ import math
 import struct
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import FileFormatError, ShapeMismatch
 
@@ -30,6 +35,11 @@ Tensor3 = np.ndarray
 """Alias for a real float64 array of shape ``(n1, n2, n3)``."""
 
 T3B_MAGIC = b"T3B1"
+
+# tprod multiplies by the block circulant of b when each output entry sums
+# at most this many products, n2 * n3; measured crossover table in
+# BENCH_circulant_tprod.json
+DIRECT_CONTRACTION = 32
 
 
 def tensor_dims(dims) -> tuple:
@@ -94,15 +104,28 @@ def t_transpose(a: Tensor3) -> Tensor3:
 def tprod(a: Tensor3, b: Tensor3) -> Tensor3:
     """Tensor product of a (n1 x n2 x n3) with b (n2 x l x n3), Fortran ordered.
 
-    Equals the block-circulant matrix of a times the stacked frontal slices
-    of b, but is computed slice-wise in the DFT domain at FFT cost, as
-    (a_f b_f)^T = b_f^T a_f^T on the transposed slices. Only the leading half
-    spectrum is multiplied; the mirrored slices follow from conjugate
-    symmetry.
+    Each output entry is a sum of n2 * n3 products. When that contraction
+    is at most DIRECT_CONTRACTION, c is one real matrix product with the
+    block circulant of b: c(:, j, k) = sum_t a(:, :, t) b(:, j, k - t mod n3),
+    with the circulant's n2 l n3^2 entries copied from windows over b's tubes.
+    Longer contractions are computed slice-wise in the DFT domain, as
+    (a_f b_f)^T = b_f^T a_f^T on the transposed slices, at FFT cost and
+    O(n1 l n3) memory; only the leading half spectrum is multiplied, the
+    mirrored slices following from conjugate symmetry.
     """
     if a.ndim != 3 or b.ndim != 3 or a.shape[1] != b.shape[0] or a.shape[2] != b.shape[2]:
         raise ShapeMismatch(f"cannot multiply tensors of shapes {a.shape} and {b.shape}")
-    return from_spectrum(spectrum(b) @ spectrum(a), a.shape[2])
+    (n1, n2, n3), l = a.shape, b.shape[1]
+    if n2 * n3 > DIRECT_CONTRACTION:
+        return from_spectrum(spectrum(b) @ spectrum(a), n3)
+    # bc[k, j, t, p] = b[p, j, k - t mod n3], row (k, j) of the circulant's
+    # transpose, copied from windows over b's reversed tubes laid twice
+    # end to end; a.T is a free (n3, n2, n1) view of a Fortran-ordered a
+    twice = np.asarray(b, dtype=np.float64).T[-np.arange(2 * n3) % n3]
+    windows = sliding_window_view(twice, n3, axis=0)[n3:0:-1]
+    bc = np.ascontiguousarray(windows.transpose(0, 1, 3, 2))
+    at = np.asarray(a, dtype=np.float64).T.reshape(n3 * n2, n1)
+    return (bc.reshape(n3 * l, n3 * n2) @ at).reshape(n3, l, n1).T
 
 
 def frobenius_norm(a: np.ndarray) -> float:

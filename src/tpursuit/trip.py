@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailure, RankOutOfRange, ShapeMismatch
-from .measure import ENSEMBLES, DenseMap, MeasurementMap, apply
+from .measure import ENSEMBLES, DenseMap, MeasurementMap, apply, dense_shape
 from .tensor import Tensor3, from_spectrum, positive_int, spectrum, tensor_dims
 
 # a block of probes holds count * max(N, m) <= PROBE_BLOCK_ENTRIES entries
@@ -48,7 +48,8 @@ class TripStudyConfig:
     r must be an integer in [1, min(n1, n2)] (RankOutOfRange otherwise);
     m_grid must hold at least one count, and its entries, n_samples and
     trials must be integers >= 1 (ValueError otherwise, never a
-    truncation).
+    truncation); each entry's dense map must be within DENSE_ENTRY_LIMIT,
+    so an oversized grid is refused before any trial runs.
     """
 
     dims: tuple
@@ -61,7 +62,7 @@ class TripStudyConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "dims", tensor_dims(self.dims))
-        object.__setattr__(self, "m_grid", tuple(positive_int(m, "an m_grid entry")
+        object.__setattr__(self, "m_grid", tuple(dense_shape(m, self.dims, "an m_grid entry")[0]
                                                  for m in self.m_grid))
         if not self.m_grid:
             raise ValueError("m_grid must hold at least one measurement count")

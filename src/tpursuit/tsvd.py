@@ -15,15 +15,19 @@ rotated so that its largest-magnitude entry is real and nonnegative, which
 pins the per-slice phase and makes the factors deterministic.
 
 Rank-one atoms are t-products of the inverse-transformed factors through
-``tensor.tprod``, one atom per call, so each costs O(n1 n2 n3) memory
-whatever the tube length. ``leading_atoms``, the pursuit's factorization,
-takes its slice factors from a randomized range finder (Halko, Martinsson
-& Tropp, SIAM Review, 2011) on the same oriented, scaled stack: a fixed
-Gaussian Omega from ``default_rng(0)`` with s + SKETCH_OVERSAMPLE
-columns, SKETCH_POWER_STEPS power steps, and a thin SVD of the slice
-projected onto the sketched range. Its atoms are not the exact leading
-ones, but each sigma is u^H A v of its own vectors, so a tube norm is still
-the atom's inner product with the tensor and a batch stays orthonormal.
+``tensor.tprod``, one atom per call. An atom sums n3 products per entry,
+so for n3 up to tprod's DIRECT_CONTRACTION it is one real matrix product
+with a block circulant of n2 n3^2 entries, cheaper than the FFT of its
+strided tubes; longer tubes go through the spectrum, so each atom costs
+O(n1 n2 n3) memory whatever the tube length. ``leading_atoms``, the
+pursuit's factorization, takes its slice factors from a randomized range
+finder (Halko, Martinsson & Tropp, SIAM Review, 2011) on the same
+oriented, scaled stack: a fixed Gaussian Omega from ``default_rng(0)``
+with s + SKETCH_OVERSAMPLE columns, SKETCH_POWER_STEPS power steps, and
+a thin SVD of the slice projected onto the sketched range. Its atoms are
+not the exact leading ones, but each sigma is u^H A v of its own vectors,
+so a tube norm is still the atom's inner product with the tensor and a
+batch stays orthonormal.
 Where the sketch would span the whole space, and so costs more than the
 exact factorization, and where its leading tube norm falls below the
 floor ||a|| / sqrt(min(n1, n2)) that the pursuit's decay rests on,

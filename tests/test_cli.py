@@ -326,7 +326,10 @@ TRIP_4X4 = ["trip", "--dims", "4x4x2", "--rank", "1", "--m-grid", "8", "--sample
     (["--samples", "0"], "argument --samples: must be an integer >= 1, got '0'"),
     (["--trials", "0"], "argument --trials: must be an integer >= 1, got '0'"),
     (["--rank", "9"], "--rank must be an integer >= 1 and <= 4, got 9"),
-], ids=["m-grid", "samples", "trials", "rank"])
+    # refused before the study runs the first count's trials
+    (["--m-grid", "8,1000000"],
+     "--m-grid entry 1000000 needs a dense map of 1000000x32, over the 16777216 entry limit"),
+], ids=["m-grid", "samples", "trials", "rank", "m-grid-dense-limit"])
 def test_a_trip_count_out_of_range_is_refused_by_its_flag(tmp_path, capsys, flags, message):
     out = tmp_path / "study.csv"
     argv = [*TRIP_4X4, "--out", str(out)]
@@ -364,6 +367,15 @@ def test_sense_m_outside_one_to_n(tmp_path, capsys, m):
     assert code == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert f"--m {m} outside [1, N]" in err and "256" in err
+    assert not out.exists()
+
+
+def test_a_sense_count_over_the_dense_limit_is_refused_by_its_flag(tmp_path, capsys):
+    src, _ = synth(tmp_path, capsys, dims="32x32x8", rank=2)
+    out = tmp_path / "r.t3b"
+    argv = ["sense", "--in", src, "--out", out, "--rank", 2, "--m", 4096]
+    assert _one_refusal(argv, capsys) == (cli.EXIT_USAGE, "tpursuit: --m 4096 needs a dense map "
+                                          "of 4096x8192, over the 16777216 entry limit\n")
     assert not out.exists()
 
 

@@ -1,6 +1,7 @@
 """Unit tests for the tubal tensor algebra in tpursuit.tensor."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -135,6 +136,71 @@ def test_tprod_matches_block_circulant_oracle():
         got = tt.tprod(a, b)
         scale = max(1.0, tt.frobenius_norm(want))
         assert tt.frobenius_norm(got - want) <= 1e-10 * scale
+
+
+def _storage(kind, arr):
+    # the same entries held in C order, in Fortran order, as a strided view
+    # of a larger array, or as integers
+    if kind == "C":
+        return np.ascontiguousarray(arr)
+    if kind == "F":
+        return np.asfortranarray(arr)
+    if kind == "sliced":
+        wide = np.zeros((arr.shape[0], 2 * arr.shape[1], arr.shape[2]))
+        wide[:, ::2] = arr
+        return wide[:, ::2]
+    return np.rint(4 * arr).astype(np.int64)
+
+
+def _owns_its_buffer(c, *inputs):
+    root = c
+    while root.base is not None:
+        root = root.base
+    return root.nbytes == c.nbytes and not any(np.shares_memory(c, x) for x in inputs)
+
+
+@pytest.mark.parametrize("n3", [1, 2, 5, 16])
+@pytest.mark.parametrize("past", [0, 1], ids=["at-the-limit", "one-past"])
+@pytest.mark.parametrize("kind", ["C", "F", "sliced", "int"])
+def test_both_tprod_paths_match_the_block_circulant_oracle(monkeypatch, n3, past, kind):
+    # n2 * n3 is the largest contraction the direct product takes, or the
+    # smallest one past it, which the spectrum takes
+    n2 = tt.DIRECT_CONTRACTION // n3 + past
+    rng = np.random.default_rng(n3 * 10 + past)
+    a = _storage(kind, rng.standard_normal((3, n2, n3)))
+    b = _storage(kind, rng.standard_normal((n2, 4, n3)))
+    want = fold(bcirc(a.astype(np.float64)) @ unfold(b.astype(np.float64)), n3)
+    spectrum, transformed = tt.spectrum, []
+
+    def counted_spectrum(x):
+        transformed.append(x.shape)
+        return spectrum(x)
+
+    monkeypatch.setattr(tt, "spectrum", counted_spectrum)
+    got = tt.tprod(a, b)
+    assert len(transformed) == 2 * past
+    assert got.shape == (3, 4, n3) and got.dtype == np.float64
+    assert tt.frobenius_norm(got - want) <= 1e-13 * tt.frobenius_norm(want)
+    assert got.flags.f_contiguous
+    assert _owns_its_buffer(got, a, b)
+
+
+def test_the_direct_tprod_holds_one_circulant_table():
+    # the table of b's circulant holds n2 * l * n3^2 entries; with a Fortran
+    # ordered, read in place, the peak is that table, b's tubes laid twice
+    # end to end and the result
+    n1, n2, l, n3 = 64, 1, 64, tt.DIRECT_CONTRACTION
+    rng = np.random.default_rng(131)
+    a = np.asfortranarray(rng.standard_normal((n1, n2, n3)))
+    b = np.asfortranarray(rng.standard_normal((n2, l, n3)))
+    tracemalloc.start()
+    try:
+        c = tt.tprod(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table, twice = n2 * l * n3 * n3 * 8, 2 * n2 * l * n3 * 8
+    assert peak <= table + twice + c.nbytes + 16384, peak / table
 
 
 def test_tprod_shape_mismatch():
