@@ -30,11 +30,6 @@ MSK_MAGIC = b"MSK1"
 DENSE_ENTRY_LIMIT = 2**24
 
 
-def _check_entries(m: int, n: int) -> None:
-    if m * n > DENSE_ENTRY_LIMIT:
-        raise ValueError(f"dense map of {m}x{n} exceeds the {DENSE_ENTRY_LIMIT} entry limit")
-
-
 def _vec(x: np.ndarray) -> np.ndarray:
     # a free view when x is Fortran ordered
     return np.asarray(x, dtype=np.float64).ravel(order="F")
@@ -90,9 +85,11 @@ class SamplingMap:
 class DenseMap:
     """Multiplies the vectorized tensor by an explicit m x N sensing matrix.
 
-    dims must be three positive integers; ShapeMismatch otherwise. The
-    matrix must be finite, with at least one row and at most
-    DENSE_ENTRY_LIMIT entries; ValueError otherwise.
+    dims must be three positive integers and the matrix m x N for
+    N = n1 n2 n3; ShapeMismatch otherwise. Before any entry is read,
+    dense_shape checks the row count: ValueError, naming it, unless m >= 1
+    and m * N is within DENSE_ENTRY_LIMIT. Then ValueError unless every
+    entry is finite.
     """
 
     def __init__(self, matrix: np.ndarray, dims):
@@ -101,9 +98,7 @@ class DenseMap:
         matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[1] != n:
             raise ShapeMismatch(f"sensing matrix must be m x {n}, got {matrix.shape}")
-        if matrix.shape[0] < 1:
-            raise ValueError("a sensing matrix needs at least one row")
-        _check_entries(*matrix.shape)
+        dense_shape(matrix.shape[0], dims, "the sensing matrix's row count")
         if not np.all(np.isfinite(matrix)):
             raise ValueError("sensing matrix entries must be finite")
         self.matrix = matrix

@@ -59,7 +59,7 @@ from .errors import DivergenceDetected, NumericalFailure, RankOutOfRange, ShapeM
 from .measure import MeasurementMap, apply, backproject, pinv_apply, whiten
 from .tensor import (Tensor3, as_tensor3, frobenius_norm, from_spectrum, positive_int, spectrum,
                      t_transpose, tprod)
-from .tsvd import RANK_REL_TOL, leading_atoms, slice_factors
+from .tsvd import kept_tubes, leading_atoms, slice_ct, slice_factors
 
 RATE_SLACK = 1e-8
 
@@ -338,11 +338,6 @@ def run(b: np.ndarray, phi: MeasurementMap, cfg: PursuitConfig) -> PursuitResult
                          converged=bool(converged), history=tuple(history))
 
 
-def _ct(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of each matrix of a stack."""
-    return a.conj().transpose(0, 2, 1)
-
-
 def _inner(w: np.ndarray, t1, t2) -> float:
     """Tensor inner product of two tangent vectors at one point."""
     return sum(float(w @ np.einsum("fij,fij->f", p.conj(), q).real) for p, q in zip(t1, t2))
@@ -350,15 +345,15 @@ def _inner(w: np.ndarray, t1, t2) -> float:
 
 def _tangent(u, v, zv, zhu):
     """Projection u m v' + up v' + u vp' of ambient slices z, from z v and z' u."""
-    m = _ct(u) @ zv
-    return m, zv - u @ m, zhu - v @ _ct(m)
+    m = slice_ct(u) @ zv
+    return m, zv - u @ m, zhu - v @ slice_ct(m)
 
 
 def _transport(t, u0, v0, u, v):
     """Project a tangent vector at factors u0, v0 onto the tangent space at u, v."""
     m, up, vp = t
-    zv = (u0 @ m + up) @ (_ct(v0) @ v) + u0 @ (_ct(vp) @ v)
-    zhu = (v0 @ _ct(m) + vp) @ (_ct(u0) @ u) + v0 @ (_ct(up) @ u)
+    zv = (u0 @ m + up) @ (slice_ct(v0) @ v) + u0 @ (slice_ct(vp) @ v)
+    zhu = (v0 @ slice_ct(m) + vp) @ (slice_ct(u0) @ u) + v0 @ (slice_ct(up) @ u)
     return _tangent(u, v, zv, zhu)
 
 
@@ -373,8 +368,8 @@ def _retract(u, s, v, t, alpha):
     core = np.zeros((len(s), 2 * r, 2 * r), dtype=np.complex128)
     core[:, :r, :r] = alpha * m + s[:, :, None] * np.eye(r)
     core[:, :r, r:] = core[:, r:, :r] = alpha * np.eye(r)
-    a, sig, bh = np.linalg.svd(ra @ core @ _ct(rb), full_matrices=False)
-    return qa @ a[:, :, :r], sig[:, :r], qb @ _ct(bh[:, :r, :])
+    a, sig, bh = np.linalg.svd(ra @ core @ slice_ct(rb), full_matrices=False)
+    return qa @ a[:, :, :r], sig[:, :r], qb @ slice_ct(bh[:, :r, :])
 
 
 def refine(b: np.ndarray, phi: MeasurementMap, yhat: Tensor3, r: int) -> Tensor3:
@@ -389,12 +384,14 @@ def refine(b: np.ndarray, phi: MeasurementMap, yhat: Tensor3, r: int) -> Tensor3
     Process., 2017). A phase ends once an iteration lowers its objective by
     less than REFINE_STALL of itself; REFINE_MAX_ITERS caps both together.
 
-    yhat has tubal rank at most r, such as run's output, and r is an
-    integer in [1, min(n1, n2)]; otherwise raises RankOutOfRange.
-    Returns the iterate of least misfit, of tubal rank at most r, or a copy
-    of yhat when none fits better, deterministically. Raises ValueError when
-    yhat holds a non-finite value, and what measure.whiten raises for b,
-    before it factors anything.
+    yhat has the map's dims, or ShapeMismatch is raised. It has tubal rank
+    at most r, such as run's output, by tubal_rank's rule (tsvd.kept_tubes
+    over its r + 1 leading tube norms), and r is an integer in
+    [1, min(n1, n2)]; otherwise raises RankOutOfRange. Returns the iterate
+    of least misfit, of tubal rank at most r, or a copy of yhat when none
+    fits better, deterministically. Raises ValueError when yhat holds a
+    non-finite value, and what measure.whiten raises for b, before it
+    factors anything.
     """
     n1, n2, n3 = phi.dims
     r = positive_int(r, "refit rank r", high=min(n1, n2), error=RankOutOfRange)
@@ -412,9 +409,9 @@ def refine(b: np.ndarray, phi: MeasurementMap, yhat: Tensor3, r: int) -> Tensor3
     # the tensor inner product counts DC and Nyquist once, other slices twice
     w = np.where(2 * np.arange(len(sig)) % n3 == 0, 1.0, 2.0) / n3
     tubes = np.sqrt(w @ sig**2)
-    if sig.shape[1] > r and tubes[r] > RANK_REL_TOL * tubes[0]:
+    if kept_tubes(tubes) > r:
         raise RankOutOfRange(f"estimate has tubal rank above the refit rank {r}")
-    u, s, v = u[:, :, :r], sig[:, :r], _ct(vh[:, :r, :])
+    u, s, v = u[:, :, :r], sig[:, :r], slice_ct(vh[:, :r, :])
     best = frobenius_norm(whiten(phi, apply(phi, yhat)) - wb)
     best_x, d, obj = None, None, math.inf
     lam = REFINE_NUCLEAR * tubes[0]
@@ -435,7 +432,7 @@ def refine(b: np.ndarray, phi: MeasurementMap, yhat: Tensor3, r: int) -> Tensor3
         if it == REFINE_MAX_ITERS:
             break
         z = spectrum(backproject(phi, res)).transpose(0, 2, 1)
-        m, up, vp = _tangent(u, v, z @ v, _ct(z) @ u)
+        m, up, vp = _tangent(u, v, z @ v, slice_ct(z) @ u)
         g = (m + lam * np.eye(r), up, vp)
         gg = _inner(w, g, g)
         slope = 0.0

@@ -70,16 +70,9 @@ class TSVDFactors:
         return self.u.shape[1]
 
     def tube_norms(self) -> np.ndarray:
-        """Frobenius norm of each singular tube s(i, i, :), nonincreasing in i.
-
-        The tubes are scaled by the power of two at their largest magnitude
-        first, so no square overflows or underflows; the scale is exact, so
-        where the unscaled squares do neither the norms are the same bits.
-        """
-        rho = self.rho
-        diag = self.s[np.arange(rho), np.arange(rho), :]
-        _, exp = np.frexp(np.abs(diag).max())
-        return np.ldexp(np.linalg.norm(np.ldexp(diag, -exp), axis=1), exp)
+        """Frobenius norm of each singular tube s(i, i, :), nonincreasing in i,
+        each from tensor.frobenius_norm, so none overflows or underflows."""
+        return np.array([frobenius_norm(self.s[i, i]) for i in range(self.rho)])
 
 
 @dataclass(frozen=True)
@@ -110,7 +103,7 @@ def _fix_phase(u, vh):
     return u * phase.conj()[:, None, :], vh * phase[:, :, None]
 
 
-def _h(x: np.ndarray) -> np.ndarray:
+def slice_ct(x: np.ndarray) -> np.ndarray:
     """Conjugate transpose of each slice of a stack."""
     return x.conj().transpose(0, 2, 1)
 
@@ -118,13 +111,13 @@ def _h(x: np.ndarray) -> np.ndarray:
 def _leading_triplets(stack: np.ndarray, k: int):
     """k leading singular triplets of each slice of a stack with at least as
     many rows as columns, as (u, sigma, vh) of widths k."""
-    gram = np.matmul(_h(stack), stack)
+    gram = np.matmul(slice_ct(stack), stack)
     v = np.linalg.eigh(gram)[1][:, :, ::-1][:, :, :k]
     del gram
     # u comes from the thin SVD of a v, never from a v / sigma, so it stays
     # orthonormal on a zero slice and when k exceeds the slice's rank
     u, sig, zh = np.linalg.svd(stack @ v, full_matrices=False)
-    return u, sig, zh @ _h(v)
+    return u, sig, zh @ slice_ct(v)
 
 
 def _sketched_triplets(stack: np.ndarray, k: int):
@@ -142,10 +135,10 @@ def _sketched_triplets(stack: np.ndarray, k: int):
     omega = np.random.default_rng(0).standard_normal((stack.shape[2], k + SKETCH_OVERSAMPLE))
     q = np.linalg.qr(stack @ omega)[0]
     for _ in range(SKETCH_POWER_STEPS):
-        q = np.linalg.qr(stack @ np.linalg.qr(_h(_h(q) @ stack))[0])[0]
-    p, r = np.linalg.qr(_h(_h(q) @ stack))
-    ub, sig, wh = np.linalg.svd(_h(r))
-    return q @ ub[:, :, :k], sig[:, :k], wh[:, :k] @ _h(p)
+        q = np.linalg.qr(stack @ np.linalg.qr(slice_ct(slice_ct(q) @ stack))[0])[0]
+    p, r = np.linalg.qr(slice_ct(slice_ct(q) @ stack))
+    ub, sig, wh = np.linalg.svd(slice_ct(r))
+    return q @ ub[:, :, :k], sig[:, :k], wh[:, :k] @ slice_ct(p)
 
 
 def _assemble(u, sig, vh, n3: int) -> TSVDFactors:
@@ -214,11 +207,16 @@ def slice_factors(a: Tensor3, k: int, sketch: bool = False):
     return u, sig, vh
 
 
+def kept_tubes(tubes: np.ndarray) -> int:
+    """How many of the nonincreasing tube norms are above RANK_REL_TOL times
+    the leading one, which are a prefix; 0 when the leading one is zero."""
+    return int(np.count_nonzero(tubes > RANK_REL_TOL * tubes[0]))
+
+
 def tubal_rank(a: Tensor3) -> int:
-    """Number of singular tubes with norm above RANK_REL_TOL times the
-    leading one; 0 for a zero tensor."""
-    tubes = truncated_tsvd(a, min(a.shape[0], a.shape[1])).tube_norms()
-    return int((tubes > RANK_REL_TOL * tubes[0]).sum())
+    """Number of singular tubes of the full decomposition that kept_tubes
+    keeps; 0 for a zero tensor."""
+    return kept_tubes(truncated_tsvd(a, min(a.shape[0], a.shape[1])).tube_norms())
 
 
 def leading_atoms(a: Tensor3, s: int) -> list[RankOneAtom]:
@@ -232,12 +230,12 @@ def leading_atoms(a: Tensor3, s: int) -> list[RankOneAtom]:
     the sketch is below ||a|| / sqrt(min(n1, n2)), so the leading atom
     always meets that floor. Atom i is w_i * v(:, i, :)'
     with w_i = u(:, i, :) * (s(i, i, :) / theta_i) and theta_i the tube
-    norm, both t-products through tprod. Only atoms whose tube norm is
-    above RANK_REL_TOL times the leading tube norm are kept, tubal_rank's
-    rule, so a zero tensor yields an empty list and the result may be
-    shorter than s. Raises RankOutOfRange unless s is an integer in
-    [1, min(n1, n2)]. Each atom is a Fortran-ordered tensor with a buffer
-    of its own, so its memory is its storage-order vectorization.
+    norm, both t-products through tprod. Only the leading atoms that
+    kept_tubes counts are kept, tubal_rank's rule, so a zero tensor yields
+    an empty list and the result may be shorter than s. Raises
+    RankOutOfRange unless s is an integer in [1, min(n1, n2)]. Each atom is
+    a Fortran-ordered tensor with a buffer of its own, so its memory is its
+    storage-order vectorization.
     """
     n1, n2, n3 = a.shape
     s = positive_int(s, "atom count s", high=min(n1, n2), error=RankOutOfRange)
@@ -251,9 +249,8 @@ def leading_atoms(a: Tensor3, s: int) -> list[RankOneAtom]:
     if factors is None:
         factors = truncated_tsvd(a, s)
     tubes = factors.tube_norms()
-    # tube norms are nonincreasing, so the kept atoms are a prefix
-    theta = tubes[tubes > RANK_REL_TOL * tubes[0]]
-    count = theta.size
+    count = kept_tubes(tubes)
+    theta = tubes[:count]
     w = tprod(factors.u[:, :count], factors.s[:count, :count] / theta[:, None])
     return [RankOneAtom(tube_norm=float(t),
                         atom=tprod(w[:, i:i + 1], t_transpose(factors.v[:, i:i + 1])),

@@ -82,6 +82,16 @@ def test_rejects_bad_magic_and_truncation(tmp_path):
         frames.read_pgm(color_as_gray)
 
 
+def test_rejects_a_zero_width_or_height(tmp_path):
+    for name, header in (("w.pgm", b"P5\n0 2\n255\n"), ("h.pgm", b"P5\n2 0\n255\n"),
+                         ("w.ppm", b"P6\n0 1\n255\n"), ("h.ppm", b"P6\n1 0\n255\n")):
+        path = tmp_path / name
+        path.write_bytes(header + bytes(6))
+        read = frames.read_pgm if name.endswith(".pgm") else frames.read_ppm
+        with pytest.raises(FileFormatError, match="dimensions must be positive"):
+            read(path)
+
+
 def test_rejects_samples_above_maxval_and_overlong_numbers(tmp_path):
     above = tmp_path / "above.pgm"
     above.write_bytes(b"P5\n2 1\n100\n" + bytes([50, 101]))
@@ -152,3 +162,9 @@ def test_export_ppm_needs_three_slices(tmp_path):
         frames.export_frames(np.zeros((2, 2, 2)), tmp_path, fmt="ppm")
     written = frames.export_frames(np.zeros((2, 2, 3)), tmp_path, fmt="ppm")
     assert [p.name for p in written] == ["frame_0000.ppm"]
+
+
+def test_export_refuses_an_unknown_format(tmp_path):
+    with pytest.raises(ValueError, match="unknown export format 'gif'"):
+        frames.export_frames(np.zeros((2, 2, 3)), tmp_path, fmt="gif")
+    assert list(tmp_path.iterdir()) == []

@@ -184,6 +184,37 @@ def test_dense_entry_limit_guard():
         ms.gaussian_ensemble(m_bad, dims, seed=0)
 
 
+def test_dense_map_refuses_its_own_matrix():
+    dims = (2, 3, 4)
+    with pytest.raises(ShapeMismatch, match="m x 24"):
+        ms.DenseMap(np.ones((3, 23)), dims)
+    with pytest.raises(ShapeMismatch, match="m x 24"):
+        ms.DenseMap(np.ones(24), dims)
+    with pytest.raises(ValueError, match="row count must be an integer >= 1, got 0"):
+        ms.DenseMap(np.ones((0, 24)), dims)
+    for bad in (np.nan, np.inf, -np.inf):
+        matrix = np.ones((3, 24))
+        matrix[1, 5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ms.DenseMap(matrix, dims)
+
+
+def test_dense_map_refuses_a_matrix_over_the_entry_limit_before_reading_it():
+    dims = (8, 8, 4)
+    m = ms.DENSE_ENTRY_LIMIT // 256 + 1
+    # read-only views of one scalar: no m x N buffer is allocated, and the
+    # NaN one is refused for its size, so its entries were never scanned
+    for fill in (0.0, np.nan):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"row count {m} needs a dense map of {m}x256"):
+                ms.DenseMap(np.broadcast_to(fill, (m, 256)), dims)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
 def test_dense_maps_take_three_positive_dims_and_a_whole_row_count():
     for dims in ((0, 2, 2), (-2, -2, 1), (2, 2), (1, 2, 2, 1), (2.5, 2, 2)):
         n = max(0, int(np.prod(dims)))

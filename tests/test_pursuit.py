@@ -14,7 +14,7 @@ import pytest
 from oracles import inner
 from tpursuit import pursuit as pu
 from tpursuit.cli import METRICS_HEADER, write_metrics_csv
-from tpursuit.errors import DivergenceDetected, NumericalFailure, RankOutOfRange
+from tpursuit.errors import DivergenceDetected, NumericalFailure, RankOutOfRange, ShapeMismatch
 from tpursuit.measure import (
     SamplingMap,
     SamplingMask,
@@ -708,6 +708,14 @@ def test_refine_recovers_acceptance_seed_105():
     x = pu.refine(b, phi, yhat, 5)
     assert tubal_rank(x) <= 5
     assert np.sqrt(np.mean((x - y) ** 2)) <= 1e-6
+
+
+def test_refine_rejects_an_estimate_of_other_dims():
+    dims = (5, 5, 3)
+    phi = sampling_map(random_mask(dims, 0.5, seed=3))
+    for shape in ((5, 5, 4), (5, 4, 3), (3, 5, 5)):
+        with pytest.raises(ShapeMismatch, match="does not match map dims"):
+            pu.refine(np.zeros(phi.m), phi, np.zeros(shape), 1)
 
 
 def test_refine_rejects_non_finite_measurements():
